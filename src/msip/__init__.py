@@ -69,11 +69,10 @@ from .kernel import GramMatrix, KernelSpec, gram, log_omega, omega, se_kernel
 from .metrics import (
     KsdParams,
     MetricsReport,
+    SampleMmd,
     ksd,
     ksd2,
     mmd2_vs_gmm,
-    mmd2_vs_samples,
-    mmd2_vs_samples_se,
     mode_coverage,
     normalize_weights,
     weighted_loglik,

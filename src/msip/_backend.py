@@ -1,42 +1,30 @@
-"""Hot numerical kernels with a numba path and a pure-numpy fallback.
+"""Hot numerical kernels: distances, SE row sums and the IMQ Stein Gram.
 
-The active path is chosen once at import time: numba when it imports
-cleanly, unless the environment variable ``MSIP_NUMBA`` is set to ``0``.
-Each path is deterministic run to run, but the two are not promised
-bit-identical to each other. They differ in three ways:
+Plain numpy, deterministic run to run. Two properties are weaker than
+exact arithmetic would give:
 
-- numba forms distances by direct differences, numpy by the expanded form
-  through BLAS. The numpy distances are exactly symmetric but not bitwise
+- distances are formed in the expanded form through BLAS. They are
+  exactly symmetric with a zero diagonal, but not bitwise
   permutation-equivariant: BLAS may round a pair's inner product
   differently depending on where the pair sits in the matrix.
-- numpy drops far-apart pairs from the SE self row-sums, within a stated
-  1e-12 relative bound; numba sums every pair.
-- the exp implementations and summation orders differ.
-
-``benchmarks/bench_backends.py`` times one against the other.
+- the SE self row-sums drop far-apart pairs, within a stated 1e-12
+  relative bound.
 """
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
     "sym_sq_dists",
     "cross_sq_dists",
     "se_cross_rowsums",
     "se_self_rowsums",
     "imq_stein_gram",
-    "reference_backend",
 ]
 
 
-# ---------------------------------------------------------------- numpy path
-
-
-def _sym_sq_dists_np(Y):
+def sym_sq_dists(Y):
     """All pairwise squared distances among rows of Y, exactly symmetric.
 
     Expanded form ||x||^2 + ||y||^2 - 2<x,y>, clamped at 0 against negative
@@ -55,7 +43,7 @@ def _sym_sq_dists_np(Y):
     return D
 
 
-def _cross_sq_dists_np(A, B):
+def cross_sq_dists(A, B):
     """Squared distances between rows of A (n) and rows of B (m), n x m."""
     sa = np.einsum("ij,ij->i", A, A)
     sb = np.einsum("ij,ij->i", B, B)
@@ -64,13 +52,13 @@ def _cross_sq_dists_np(A, B):
     return D
 
 
-def _se_cross_rowsums_np(X, Y, w, inv_two_sigma2):
+def se_cross_rowsums(X, Y, w, inv_two_sigma2):
     """Per-row sums sum_i w_i * exp(-||x_n - y_i||^2 * inv_two_sigma2)."""
     out = np.empty(X.shape[0])
     step = max(1, int(4e6) // max(Y.shape[0], 1))
     for lo in range(0, X.shape[0], step):
         hi = min(lo + step, X.shape[0])
-        D = _cross_sq_dists_np(X[lo:hi], Y)
+        D = cross_sq_dists(X[lo:hi], Y)
         out[lo:hi] = np.exp(-inv_two_sigma2 * D) @ w
     return out
 
@@ -82,7 +70,7 @@ _SELF_SUM_RTOL = 1e-12
 _TILE = 256
 
 
-def _se_self_rowsums_np(X, inv_two_sigma2):
+def se_self_rowsums(X, inv_two_sigma2):
     """Row sums of the full SE kernel matrix of X (diagonal included).
 
     Each row is within 1e-12 relative of the exact sum. The points are
@@ -142,14 +130,14 @@ def _se_tile(A, B, inv_two_sigma2, buf):
     return np.exp(K, out=K)
 
 
-def _imq_stein_gram_np(Y, S, c2, ell2, beta):
+def imq_stein_gram(Y, S, c2, ell2, beta):
     """Stein-kernel Gram for the IMQ base kernel.
 
     k(x,y) = (c2 + ||x-y||^2 / ell2)^beta, S holds score rows s(y_i);
     k0 = s(x)'s(y) k + s(x)'grad_y k + s(y)'grad_x k + tr(grad_x grad_y k).
     """
     d = Y.shape[1]
-    D = _sym_sq_dists_np(Y)
+    D = sym_sq_dists(Y)
     u = c2 + D / ell2
     k = u**beta
     ku1 = beta * u ** (beta - 1.0)
@@ -163,187 +151,3 @@ def _imq_stein_gram_np(Y, S, c2, ell2, beta):
         - 2.0 * d * ku1 / ell2
     )
     return ss * k + cross + trace
-
-
-_numpy_impls = {
-    "sym_sq_dists": _sym_sq_dists_np,
-    "cross_sq_dists": _cross_sq_dists_np,
-    "se_cross_rowsums": _se_cross_rowsums_np,
-    "se_self_rowsums": _se_self_rowsums_np,
-    "imq_stein_gram": _imq_stein_gram_np,
-}
-
-
-# ---------------------------------------------------------------- numba path
-
-USE_NUMBA = os.environ.get("MSIP_NUMBA", "1") != "0"
-_numba_impls = {}
-
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a hard dep, belt+braces
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _sym_sq_dists_nb(Y):
-        n, d = Y.shape
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for a in range(d):
-                    t = Y[i, a] - Y[j, a]
-                    acc += t * t
-                D[i, j] = acc
-                D[j, i] = acc
-        return D
-
-    @numba.njit(cache=True)
-    def _cross_sq_dists_nb(A, B):
-        n, d = A.shape
-        m = B.shape[0]
-        D = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                acc = 0.0
-                for a in range(d):
-                    t = A[i, a] - B[j, a]
-                    acc += t * t
-                D[i, j] = acc
-        return D
-
-    @numba.njit(cache=True)
-    def _se_cross_rowsums_nb(X, Y, w, inv_two_sigma2):
-        n, d = X.shape
-        m = Y.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(m):
-                sq = 0.0
-                for a in range(d):
-                    t = X[i, a] - Y[j, a]
-                    sq += t * t
-                acc += w[j] * np.exp(-inv_two_sigma2 * sq)
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _se_self_rowsums_nb(X, inv_two_sigma2):
-        # symmetric: each pair computed once, added to both rows
-        n, d = X.shape
-        out = np.ones(n)  # diagonal kappa(x,x) = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                sq = 0.0
-                for a in range(d):
-                    t = X[i, a] - X[j, a]
-                    sq += t * t
-                v = np.exp(-inv_two_sigma2 * sq)
-                out[i] += v
-                out[j] += v
-        return out
-
-    @numba.njit(cache=True)
-    def _imq_stein_gram_nb(Y, S, c2, ell2, beta):
-        n, d = Y.shape
-        K0 = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                sq = 0.0
-                ss = 0.0
-                sdx = 0.0  # s(y_i).(y_i - y_j)
-                sdy = 0.0  # s(y_j).(y_i - y_j)
-                for a in range(d):
-                    t = Y[i, a] - Y[j, a]
-                    sq += t * t
-                    ss += S[i, a] * S[j, a]
-                    sdx += S[i, a] * t
-                    sdy += S[j, a] * t
-                u = c2 + sq / ell2
-                k = u**beta
-                ku1 = beta * u ** (beta - 1.0)
-                cross = (2.0 / ell2) * ku1 * (sdy - sdx)
-                trace = (
-                    -4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * sq / ell2**2
-                    - 2.0 * d * ku1 / ell2
-                )
-                val = ss * k + cross + trace
-                K0[i, j] = val
-                K0[j, i] = val
-        return K0
-
-    _numba_impls = {
-        "sym_sq_dists": _sym_sq_dists_nb,
-        "cross_sq_dists": _cross_sq_dists_nb,
-        "se_cross_rowsums": _se_cross_rowsums_nb,
-        "se_self_rowsums": _se_self_rowsums_nb,
-        "imq_stein_gram": _imq_stein_gram_nb,
-    }
-
-
-_active = _numba_impls if USE_NUMBA else _numpy_impls
-
-
-def sym_sq_dists(Y):
-    """All pairwise squared distances among rows of Y (n x n, diag 0)."""
-    return _active["sym_sq_dists"](Y)
-
-
-def cross_sq_dists(A, B):
-    """Squared distances between rows of A (n) and rows of B (m), n x m."""
-    return _active["cross_sq_dists"](A, B)
-
-
-def se_cross_rowsums(X, Y, w, inv_two_sigma2):
-    """Per-row sums sum_i w_i * exp(-||x_n - y_i||^2 * inv_two_sigma2)."""
-    return _active["se_cross_rowsums"](X, Y, w, inv_two_sigma2)
-
-
-def se_self_rowsums(X, inv_two_sigma2):
-    """Row sums of the full SE kernel matrix of X (diagonal included).
-
-    Each row is within 1e-12 relative of the exact sum, in the input order.
-    The numpy path drops the far-apart pairs whose terms add up to less
-    than that (see ``_se_self_rowsums_np``); the numba path sums them all.
-    """
-    return _active["se_self_rowsums"](X, inv_two_sigma2)
-
-
-def imq_stein_gram(Y, S, c2, ell2, beta):
-    """Stein-kernel Gram for the IMQ base kernel (see the numpy impl)."""
-    return _active["imq_stein_gram"](Y, S, c2, ell2, beta)
-
-
-@contextmanager
-def reference_backend():
-    """Force the pure-numpy path within the block.
-
-    Seeded many-iteration runs sit at the edge of chaos: the two paths
-    reduce sums in different orders, and last-ulp differences grow into
-    macroscopically different trajectories after hundreds of steps. Code
-    whose seeded outputs must be reproducible across installs (golden
-    files, pinned-seed acceptance statistics) runs under this context so
-    the arithmetic is pinned too; everything else keeps the faster path.
-    """
-    global _active
-    previous = _active
-    _active = _numpy_impls
-    try:
-        yield
-    finally:
-        _active = previous
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    Y = np.ascontiguousarray(np.arange(8.0).reshape(4, 2))
-    S = -Y
-    sym_sq_dists(Y)
-    cross_sq_dists(Y, Y)
-    se_cross_rowsums(Y, Y, np.full(4, 0.25), 1.0)
-    se_self_rowsums(Y, 1.0)
-    imq_stein_gram(Y, S, 1.0, 1.0, -0.5)

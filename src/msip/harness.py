@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._backend import se_cross_rowsums, se_self_rowsums
 from .baselines import CbsParams, SvgdParams, run_cbs, run_svgd
 from .dynamics import (
     MsipParams,
@@ -29,6 +28,7 @@ from .kernel import KernelSpec
 from .metrics import (
     KsdParams,
     MetricsReport,
+    SampleMmd,
     ksd,
     mmd2_vs_gmm,
     normalize_weights,
@@ -393,24 +393,6 @@ def build_params(cfg, seed):
 # ------------------------------------------------------------------ execution
 
 
-class _ReferenceMmd:
-    """Sample-estimated MMD^2 with the reference self-term precomputed."""
-
-    def __init__(self, X, sigma):
-        self.X = X
-        self.sigma = sigma
-        self._inv = 1.0 / (2.0 * sigma**2)
-        n = X.shape[0]
-        self.self_term = float(se_self_rowsums(X, self._inv).sum()) / n**2
-
-    def __call__(self, Y, w):
-        b = se_cross_rowsums(self.X, Y, w, self._inv)
-        D = Y[:, None, :] - Y[None, :, :]
-        K = np.exp(-self._inv * np.einsum("ijk,ijk->ij", D, D))
-        val = self.self_term - 2.0 * float(b.mean()) + float(w @ K @ w)
-        return max(val, 0.0)
-
-
 class _TrialRecorder:
     """Accumulates metric rows and cumulative counters for one trial."""
 
@@ -569,7 +551,7 @@ def run_experiment(cfg, on_trial=None):
             target, cfg.metrics["reference_sample_size"],
             [cfg.trials["base_seed"], 3],
         )
-        ref_mmd = _ReferenceMmd(X, cfg.metrics["mmd_bandwidth"])
+        ref_mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
     results = []
     for trial in range(cfg.trials["count"]):
         result = _run_trial(cfg, target, trial, ksd_params, ref_mmd)

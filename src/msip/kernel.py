@@ -73,13 +73,20 @@ class GramMatrix:
         return self.entries.shape
 
 
+def se_matrix(Y, sigma):
+    """Plain SE kernel matrix exp(-||y_i - y_j||^2 / (2 sigma^2)) of Y.
+
+    Exactly symmetric with diagonal exactly 1; Y is an M x d float array.
+    """
+    return np.exp(-_backend.sym_sq_dists(Y) / (2.0 * sigma**2))
+
+
 def gram(Y, spec):
     """Assemble K(Y) + lambda I for the configuration Y (M x d)."""
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError(f"Y must be M x d with M >= 1, got shape {Y.shape}")
-    D = _backend.sym_sq_dists(Y)
-    K = np.exp(-D / (2.0 * spec.sigma**2))
+    K = se_matrix(Y, spec.sigma)
     np.fill_diagonal(K, 1.0 + spec.lam)
     return GramMatrix(entries=K, lambda_applied=spec.lam, _chol=None)
 

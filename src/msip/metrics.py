@@ -17,9 +17,9 @@ from ._backend import (
     imq_stein_gram,
     se_cross_rowsums,
     se_self_rowsums,
-    sym_sq_dists,
 )
 from .errors import NonNormalizableError
+from .kernel import se_matrix
 from .targets import gmm_c_pi, gmm_v0, normalized
 
 # Below this total mass the weight vector cannot be renormalized.
@@ -79,11 +79,6 @@ def normalize_weights(w):
     return w / s
 
 
-def _se_gram(Y, sigma):
-    return np.exp(sym_sq_dists(np.asarray(Y, dtype=float))
-                  / (-2.0 * sigma**2))
-
-
 def mmd2_vs_gmm(Y, w, t, sigma):
     """Exact MMD^2 between the weighted configuration and a unit-mass GMM.
 
@@ -94,51 +89,53 @@ def mmd2_vs_gmm(Y, w, t, sigma):
     w = np.asarray(w, dtype=float)
     tn = normalized(t)
     v0 = gmm_v0(tn, Y, sigma)
-    K = _se_gram(Y, sigma)
+    K = se_matrix(Y, sigma)
     val = gmm_c_pi(tn, sigma) - 2.0 * float(w @ v0) + float(w @ K @ w)
     return max(val, 0.0)
 
 
-def mmd2_vs_samples(Y, w, X, sigma):
-    """Plug-in MMD^2 against a reference sample (V-statistic, unclamped).
+class SampleMmd:
+    """Plug-in MMD^2 (V-statistic) against one reference sample X.
 
-    (1/N^2) sum k(x,x') - (2/N) sum_i w_i sum_n k(x_n, y_i) + w' K w.
+    mean_n a_n - 2 mean_n b_n + w' K w, where a_n = (1/N) sum_m k(x_n, x_m)
+    is the mean kernel value of x_n against the sample and
+    b_n = sum_i w_i k(x_n, y_i). The a_n cost O(N^2) and are computed once,
+    here; each evaluation costs O(N M).
     """
-    Y = np.asarray(Y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    inv = 1.0 / (2.0 * sigma**2)
-    a = se_self_rowsums(X, inv)
-    b = se_cross_rowsums(X, Y, w, inv)
-    K = _se_gram(Y, sigma)
-    return float(a.sum()) / n**2 - 2.0 * float(b.sum()) / n \
-        + float(w @ K @ w)
 
+    def __init__(self, X, sigma):
+        self.X = np.asarray(X, dtype=float)
+        self.sigma = sigma
+        self._inv = 1.0 / (2.0 * sigma**2)
+        self._a = se_self_rowsums(self.X, self._inv) / self.X.shape[0]
 
-def mmd2_vs_samples_se(Y, w, X, sigma, n_boot=200, seed=0):
-    """(mmd2, bootstrap standard error) for the sample-estimated MMD^2.
+    def _evaluate(self, Y, w):
+        Y = np.asarray(Y, dtype=float)
+        w = np.asarray(w, dtype=float)
+        b = se_cross_rowsums(self.X, Y, w, self._inv)
+        val = float(self._a.mean()) - 2.0 * float(b.mean()) \
+            + float(w @ se_matrix(Y, self.sigma) @ w)
+        return max(val, 0.0), b
 
-    Resamples the per-sample linearization psi_n = 2 a_n - 2 b_n of the
-    V-statistic (a_n: mean kernel value against the sample, b_n: weighted
-    kernel value against the configuration), which is accurate to O(1/N)
-    and avoids recomputing the N x N kernel sum per replicate.
-    """
-    Y = np.asarray(Y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    inv = 1.0 / (2.0 * sigma**2)
-    a = se_self_rowsums(X, inv) / n
-    b = se_cross_rowsums(X, Y, w, inv)
-    K = _se_gram(Y, sigma)
-    mmd2 = float(a.mean()) - 2.0 * float(b.mean()) + float(w @ K @ w)
-    psi = 2.0 * a - 2.0 * b
-    rng = np.random.default_rng(seed)
-    reps = np.empty(n_boot)
-    for i in range(n_boot):
-        reps[i] = psi[rng.integers(0, n, size=n)].mean()
-    return mmd2, float(reps.std(ddof=1))
+    def __call__(self, Y, w):
+        """MMD^2 of the weighted configuration; clamped at zero."""
+        return self._evaluate(Y, w)[0]
+
+    def with_se(self, Y, w, n_boot=200, seed=0):
+        """(mmd2, bootstrap standard error) of the estimate.
+
+        Resamples the per-sample linearization psi_n = 2 a_n - 2 b_n of
+        the V-statistic, which is accurate to O(1/N) and avoids
+        recomputing the N x N kernel sum per replicate.
+        """
+        mmd2, b = self._evaluate(Y, w)
+        psi = 2.0 * self._a - 2.0 * b
+        n = psi.shape[0]
+        rng = np.random.default_rng(seed)
+        reps = np.empty(n_boot)
+        for i in range(n_boot):
+            reps[i] = psi[rng.integers(0, n, size=n)].mean()
+        return mmd2, float(reps.std(ddof=1))
 
 
 def ksd2(Y, w, score, p):

@@ -1,20 +1,17 @@
 """Session-wide test setup.
 
 Turns on the solver's residual self-check for every solve issued during
-the test run, and triggers the backend JIT warmup once so compile time
-never lands inside an individual test's runtime.
+the test run.
 """
 
 import pytest
 
 import msip.kernel
-from msip._backend import warmup
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _strict_numerics():
     previous = msip.kernel.CHECK_RESIDUALS
     msip.kernel.CHECK_RESIDUALS = True
-    warmup()
     yield
     msip.kernel.CHECK_RESIDUALS = previous

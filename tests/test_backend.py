@@ -1,18 +1,14 @@
-"""Numpy/numba backend parity and the reference-backend context."""
+"""The numerical kernels against brute-force references."""
 
 import numpy as np
 import pytest
 
-from msip import _backend
 from msip._backend import (
-    USE_NUMBA,
     cross_sq_dists,
     imq_stein_gram,
-    reference_backend,
     se_cross_rowsums,
     se_self_rowsums,
     sym_sq_dists,
-    warmup,
 )
 from msip.targets import make_benchmark, reference_samples
 
@@ -27,8 +23,7 @@ class TestNumpyImplementations:
     def test_sym_sq_dists_matches_brute_force(self):
         rng = np.random.default_rng(161)
         Y = rng.standard_normal((12, 3))
-        with reference_backend():
-            D = sym_sq_dists(Y)
+        D = sym_sq_dists(Y)
         np.testing.assert_allclose(D, brute_sq_dists(Y, Y),
                                    rtol=1e-12, atol=1e-12)
 
@@ -68,17 +63,16 @@ class TestNumpyImplementations:
         )
 
     def test_se_rowsums_blocked_path(self):
-        # Force the numpy fallback past one block: two chunks of the cross
-        # sums, and twelve 256-row tiles (so off-diagonal tile pairs) of
-        # the self sums.
+        # Force the row sums past one block: two chunks of the cross sums,
+        # and twelve 256-row tiles (so off-diagonal tile pairs) of the
+        # self sums.
         rng = np.random.default_rng(165)
         X = rng.standard_normal((3000, 2))
         Y = rng.standard_normal((2000, 2))
         w = rng.uniform(0.0, 1.0, size=2000)
         inv = 0.5
-        with reference_backend():
-            cross = se_cross_rowsums(X, Y, w, inv)
-            self_sums = se_self_rowsums(X, inv)
+        cross = se_cross_rowsums(X, Y, w, inv)
+        self_sums = se_self_rowsums(X, inv)
         expected_first = np.exp(-inv * np.sum((X[0] - Y) ** 2, axis=1)) @ w
         assert cross[0] == pytest.approx(expected_first, rel=1e-12)
         assert self_sums.shape == (3000,)
@@ -88,13 +82,12 @@ class TestNumpyImplementations:
         # At sigma = 0.5 the cutoff skips 31 of the 210 tile pairs here.
         # Every row must stay within the stated 1e-12 of the direct sum, and
         # the sums must come back in input order: the bootstrap in
-        # mmd2_vs_samples_se pairs them row by row with the cross sums.
+        # SampleMmd.with_se pairs them row by row with the cross sums.
         X = reference_samples(make_benchmark("gmm", 2, seed=0), 5000, [0, 1])
         inv = 1.0 / (2.0 * 0.5**2)
         perm = np.random.default_rng(169).permutation(5000)
-        with reference_backend():
-            sums = se_self_rowsums(X, inv)
-            permuted = se_self_rowsums(X[perm], inv)
+        sums = se_self_rowsums(X, inv)
+        permuted = se_self_rowsums(X[perm], inv)
         direct = np.array([
             np.exp(-inv * np.sum((x - X) ** 2, axis=1)).sum() for x in X
         ])
@@ -119,67 +112,3 @@ class TestNumpyImplementations:
         S = rng.standard_normal((8, 2))
         K0 = imq_stein_gram(Y, S, 1.0, 0.5, -0.5)
         np.testing.assert_allclose(K0, K0.T, rtol=0, atol=1e-12)
-
-
-@pytest.mark.skipif(not USE_NUMBA, reason="numba backend disabled")
-class TestBackendParity:
-    """The two paths must agree to floating-point reduction tolerance."""
-
-    def setup_method(self):
-        rng = np.random.default_rng(168)
-        self.Y = np.ascontiguousarray(rng.standard_normal((40, 3)) * 2.0)
-        self.X = np.ascontiguousarray(rng.standard_normal((60, 3)))
-        self.w = rng.uniform(-1.0, 1.0, size=40)
-        self.S = np.ascontiguousarray(rng.standard_normal((40, 3)))
-
-    def both(self, fn, *args):
-        fast = fn(*args)
-        with reference_backend():
-            ref = fn(*args)
-        return fast, ref
-
-    def test_sym_sq_dists(self):
-        fast, ref = self.both(sym_sq_dists, self.Y)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12)
-
-    def test_cross_sq_dists(self):
-        fast, ref = self.both(cross_sq_dists, self.X, self.Y)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12)
-
-    def test_se_cross_rowsums(self):
-        fast, ref = self.both(
-            se_cross_rowsums, self.X, self.Y, self.w, 0.8
-        )
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-14)
-
-    def test_se_self_rowsums(self):
-        fast, ref = self.both(se_self_rowsums, self.X, 0.8)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12)
-
-    def test_imq_stein_gram(self):
-        fast, ref = self.both(
-            imq_stein_gram, self.Y, self.S, 1.0, 0.25, -0.5
-        )
-        np.testing.assert_allclose(fast, ref, rtol=1e-11, atol=1e-11)
-
-
-class TestReferenceBackendContext:
-    def test_restores_active_path_after_exception(self):
-        before = _backend._active
-        with pytest.raises(RuntimeError, match="boom"):
-            with reference_backend():
-                assert _backend._active is _backend._numpy_impls
-                raise RuntimeError("boom")
-        assert _backend._active is before
-
-    def test_nested_contexts(self):
-        before = _backend._active
-        with reference_backend():
-            with reference_backend():
-                assert _backend._active is _backend._numpy_impls
-            assert _backend._active is _backend._numpy_impls
-        assert _backend._active is before
-
-    def test_warmup_idempotent(self):
-        warmup()
-        warmup()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msip._backend import reference_backend
+import msip.metrics
 from msip.baselines import CbsParams, SvgdParams
 from msip.dynamics import MsipParams, ParticleConfiguration
 from msip.errors import ConfigError, UnsupportedDimensionError
@@ -26,7 +26,8 @@ from msip.harness import (
     summarize,
     write_outputs,
 )
-from msip.targets import make_benchmark
+from msip.metrics import SampleMmd, normalize_weights
+from msip.targets import make_benchmark, reference_samples
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics.csv"
 
@@ -44,8 +45,7 @@ GOLDEN_DOC = {
 
 def make_golden_csv(directory):
     cfg = parse_config(json.dumps(GOLDEN_DOC))
-    with reference_backend():
-        results = run_experiment(cfg)
+    results = run_experiment(cfg)
     return emit_csv(results, Path(directory) / "metrics.csv")
 
 
@@ -396,7 +396,7 @@ class TestRunExperiment:
         assert result.coverage is not None
         assert 0 <= result.coverage <= 5
 
-    def test_sample_mmd_used_without_analytic_embeddings(self):
+    def test_sample_mmd_used_without_analytic_embeddings(self, monkeypatch):
         cfg = small_config(
             target={"name": "funnel", "dim": 2},
             algorithm={"name": "msip-gf", "params": {"T": 10}},
@@ -404,9 +404,26 @@ class TestRunExperiment:
                      "reference_sample_size": 400},
             trials={"count": 1, "base_seed": 0},
         )
-        rows = run_experiment(cfg)[0].report.rows
+        calls = []
+        self_rowsums = msip.metrics.se_self_rowsums
+
+        def counted(*args):
+            calls.append(args)
+            return self_rowsums(*args)
+
+        monkeypatch.setattr(msip.metrics, "se_self_rowsums", counted)
+        result = run_experiment(cfg)[0]
+        rows = result.report.rows
+        assert len(rows) == 3
+        # the N x N self term is computed once per experiment, not per row
+        assert len(calls) == 1
         assert all(row["mmd2"] >= 0.0 for row in rows)
         assert all(math.isfinite(row["mmd2"]) for row in rows)
+        target = make_benchmark("funnel", 2, cfg.target["seed"])
+        X = reference_samples(target, 400, [0, 3])
+        mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
+        final = result.final
+        assert rows[-1]["mmd2"] == mmd(final.Y, normalize_weights(final.w))
 
     def test_divergence_is_recorded_not_raised(self):
         cfg = small_config(

@@ -13,6 +13,7 @@ from msip.kernel import (
     log_omega,
     omega,
     se_kernel,
+    se_matrix,
     solve,
 )
 
@@ -110,6 +111,18 @@ class TestGram:
         G = gram(Y, spec)
         assert np.all(np.diag(G.entries) == 1.0 + spec.lam)
         assert np.array_equal(G.entries, G.entries.T)
+
+    def test_is_plain_se_matrix_plus_lambda_diagonal(self):
+        rng = np.random.default_rng(14)
+        Y = rng.standard_normal((15, 3))
+        off = ~np.eye(15, dtype=bool)
+        for sigma in (0.3, 1.0, 2.7):
+            spec = KernelSpec(sigma=sigma, lam=1e-6)
+            G = gram(Y, spec).entries
+            K = se_matrix(Y, sigma)
+            assert np.array_equal(G[off], K[off])
+            assert np.all(np.diag(K) == 1.0)
+            assert np.all(np.diag(G) == 1.0 + spec.lam)
 
     def test_offdiagonal_matches_pointwise_kernel(self):
         rng = np.random.default_rng(12)

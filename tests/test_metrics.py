@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from msip.dynamics import MsipParams, objective, solve_weights
+from msip.dynamics import MsipParams, objective, optimal_weights, solve_weights
 from msip.errors import NonNormalizableError
-from msip.kernel import KernelSpec
+from msip.kernel import KernelSpec, gram
 from msip.metrics import (
     KsdParams,
+    SampleMmd,
     ksd,
     ksd2,
     mmd2_vs_gmm,
-    mmd2_vs_samples,
-    mmd2_vs_samples_se,
     mode_coverage,
     normalize_weights,
     weighted_loglik,
@@ -23,6 +22,7 @@ from msip.targets import (
     GmmTarget,
     TargetDensity,
     from_gmm,
+    gmm_v0,
     make_benchmark,
     reference_samples,
 )
@@ -67,6 +67,19 @@ class TestMmd2VsGmm:
         assert val == pytest.approx(2.0 * objective(Y, target, p),
                                     rel=1e-10, abs=1e-14)
 
+    def test_equals_twice_objective_bitwise_at_criterion_8(self):
+        # Acceptance criterion 8's configuration, where the identity holds
+        # to the last bit ("identity gap 0"): the metric's plain SE matrix
+        # and the objective's Gram must share their arithmetic.
+        target = make_benchmark("gmm", 2, seed=0)
+        rng = np.random.default_rng(3)
+        Y = rng.uniform(0.0, 7.5, size=(25, 2))
+        p = MsipParams(kernel=KernelSpec(0.5, 0.0), estimator="analytic")
+        w = optimal_weights(gram(Y, p.kernel),
+                            gmm_v0(target.analytic, Y, 0.5))
+        assert mmd2_vs_gmm(Y, w, target.analytic, 0.5) == \
+            2.0 * objective(Y, target, p)
+
     def test_nonnegative_for_arbitrary_weights(self):
         rng = np.random.default_rng(141)
         target = make_benchmark("gmm", 2, seed=14).analytic
@@ -109,7 +122,7 @@ class TestMmd2VsSamples:
         target = make_benchmark("gmm", 2, seed=14)
         X = reference_samples(target, 400, seed=17)
         w = np.full(400, 1.0 / 400)
-        assert abs(mmd2_vs_samples(X, w, X, 0.5)) < 1e-10
+        assert abs(SampleMmd(X, 0.5)(X, w)) < 1e-10
 
     def test_agrees_with_exact_mmd_within_sampling_error(self):
         target = make_benchmark("gmm", 2, seed=14)
@@ -119,9 +132,9 @@ class TestMmd2VsSamples:
         w = np.full(12, 1.0 / 12)
         X = reference_samples(target, 4000, seed=18)
         exact = mmd2_vs_gmm(Y, w, t, 0.5)
-        est, se = mmd2_vs_samples_se(Y, w, X, 0.5, n_boot=300, seed=19)
-        assert est == pytest.approx(mmd2_vs_samples(Y, w, X, 0.5),
-                                    rel=1e-10, abs=1e-12)
+        mmd = SampleMmd(X, 0.5)
+        est, se = mmd.with_se(Y, w, n_boot=300, seed=19)
+        assert est == mmd(Y, w)
         assert abs(est - exact) <= 4.0 * se + 2.0 / 4000
 
     def test_permutation_invariant_in_both_arguments(self):
@@ -129,9 +142,9 @@ class TestMmd2VsSamples:
         Y = rng.standard_normal((7, 2))
         w = rng.standard_normal(7)
         X = rng.standard_normal((30, 2))
-        val = mmd2_vs_samples(Y, w, X, 0.8)
+        val = SampleMmd(X, 0.8)(Y, w)
         py, px = rng.permutation(7), rng.permutation(30)
-        assert mmd2_vs_samples(Y[py], w[py], X[px], 0.8) == pytest.approx(
+        assert SampleMmd(X[px], 0.8)(Y[py], w[py]) == pytest.approx(
             val, rel=1e-10, abs=1e-14
         )
 
@@ -140,8 +153,8 @@ class TestMmd2VsSamples:
         Y = rng.standard_normal((5, 2))
         w = np.full(5, 0.2)
         X = rng.standard_normal((200, 2))
-        a = mmd2_vs_samples_se(Y, w, X, 0.7, n_boot=100, seed=3)
-        b = mmd2_vs_samples_se(Y, w, X, 0.7, n_boot=100, seed=3)
+        a = SampleMmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
+        b = SampleMmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
         assert a == b
         assert a[1] > 0.0
 
