@@ -29,7 +29,7 @@ from msip.harness import (
 from msip.metrics import SampleMmd, normalize_weights
 from msip.targets import make_benchmark, reference_samples
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Frozen input of the golden-file regression; regenerate the expectation
 # with `python tests/regen_golden.py` after an intentional change.
@@ -43,10 +43,27 @@ GOLDEN_DOC = {
 }
 
 
-def make_golden_csv(directory):
-    cfg = parse_config(json.dumps(GOLDEN_DOC))
+# Golden file stem -> frozen config. Beyond msip-f, these cover the sample
+# MMD^2 of a target without analytic embeddings and both baselines.
+GOLDEN_CASES = {
+    "metrics": GOLDEN_DOC,
+    "msip-gf-funnel": {
+        **GOLDEN_DOC,
+        "target": {"name": "funnel", "dim": 2},
+        "algorithm": {"name": "msip-gf", "params": {"T": 30}},
+        "metrics": {"every_n_iters": 10, "reference_sample_size": 500},
+    },
+    "svgd-gmm": {**GOLDEN_DOC,
+                 "algorithm": {"name": "svgd", "params": {"T": 30}}},
+    "cbs-gmm": {**GOLDEN_DOC,
+                "algorithm": {"name": "cbs", "params": {"T": 30}}},
+}
+
+
+def make_golden_csv(directory, name="metrics"):
+    cfg = parse_config(json.dumps(GOLDEN_CASES[name]))
     results = run_experiment(cfg)
-    return emit_csv(results, Path(directory) / "metrics.csv")
+    return emit_csv(results, Path(directory) / f"{name}.csv")
 
 
 def blank_wall_ms(text):
@@ -523,12 +540,12 @@ class TestEmitCsv:
                    for row in rows)
         assert all(row["mmd2"] != "" for row in rows)
 
-    def test_matches_golden_file(self, tmp_path):
-        # Byte-for-byte regression (wall-clock column excluded) under the
-        # pinned reference backend.
-        path = make_golden_csv(tmp_path)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_matches_golden_file(self, tmp_path, name):
+        # Byte-for-byte regression (wall-clock column excluded).
+        path = make_golden_csv(tmp_path, name)
         got = blank_wall_ms(path.read_text(encoding="utf-8"))
-        want = blank_wall_ms(GOLDEN_PATH.read_text(encoding="utf-8"))
+        want = blank_wall_ms((GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8"))
         assert got == want
 
 
