@@ -28,7 +28,6 @@ from .dynamics import (
     objective_gradient,
     optimal_weights,
     run_msip,
-    solve_weights,
 )
 from .embeddings import (
     EmbeddingEstimate,

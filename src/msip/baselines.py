@@ -104,11 +104,19 @@ def svgd_step(Y, t, p):
 
 
 def run_svgd(t, p, Y0, callbacks=None):
-    """Iterate svgd_step T times; returns (trajectory, uniform-weight config)."""
+    """Iterate svgd_step T times; returns (trajectory, uniform-weight config).
+
+    Each callback is called as cb(it, Y_it, None, diag) at the top of
+    iteration it; diag holds the evaluations of one step.
+    """
     Y = np.array(Y0, dtype=float)
     M = Y.shape[0]
     traj = Trajectory()
+    diag = {"density_evals": 0, "score_evals": M, "frozen": []}
     for it in range(p.T):
+        if callbacks:
+            for cb in callbacks:
+                cb(it, Y, None, diag)
         Y = svgd_step(Y, t, p)
         traj.score_evals += M
         if not np.all(np.isfinite(Y)):
@@ -119,9 +127,6 @@ def run_svgd(t, p, Y0, callbacks=None):
                 f"at iteration {it}",
                 trajectory=traj,
             )
-        if callbacks:
-            for cb in callbacks:
-                cb(it + 1, Y, None, {})
     w = np.full(M, 1.0 / M)
     return traj, ParticleConfiguration(Y=Y, w=w)
 
@@ -155,11 +160,18 @@ def cbs_step(Y, t, p, rng):
 
 
 def run_cbs(t, p, Y0, callbacks=None):
-    """Iterate cbs_step T times with a fresh per-iteration noise stream."""
+    """Iterate cbs_step T times with a fresh per-iteration noise stream.
+
+    Callbacks are called as in run_svgd.
+    """
     Y = np.array(Y0, dtype=float)
     M = Y.shape[0]
     traj = Trajectory()
+    diag = {"density_evals": M, "score_evals": 0, "frozen": []}
     for it in range(p.T):
+        if callbacks:
+            for cb in callbacks:
+                cb(it, Y, None, diag)
         rng = np.random.default_rng([p.seed, 2, it])
         Y = cbs_step(Y, t, p, rng)
         traj.density_evals += M
@@ -171,8 +183,5 @@ def run_cbs(t, p, Y0, callbacks=None):
                 f"at iteration {it}",
                 trajectory=traj,
             )
-        if callbacks:
-            for cb in callbacks:
-                cb(it + 1, Y, None, {})
     w = np.full(M, 1.0 / M)
     return traj, ParticleConfiguration(Y=Y, w=w)

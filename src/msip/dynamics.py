@@ -115,17 +115,6 @@ def optimal_weights(G, v0_hat):
     return kern.solve(G, np.asarray(v0_hat, dtype=float))
 
 
-def solve_weights(Y, t, p, iteration=0):
-    """Optimal weights at Y under the configured estimator.
-
-    Uses the same inner-node stream as msip_step at the given iteration,
-    so the result matches the weights the iteration itself would compute.
-    """
-    Y = np.asarray(Y, dtype=float)
-    v0, _, _, _ = _embeddings(Y, t, p, iteration)
-    return optimal_weights(kern.gram(Y, p.kernel), v0)
-
-
 def _map_parts(Y, t, p, iteration, degenerate):
     v0, v1, de, se = _embeddings(Y, t, p, iteration)
     G = kern.gram(Y, p.kernel)
@@ -185,6 +174,11 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
 def run_msip(t, p, Y0, callbacks=None, store_positions=False):
     """Iterate msip_step T times from Y0.
 
+    Each callback is called as cb(it, Y_it, w_it, diag_it) for it = 0 ...
+    T-1, right after step it returns: w_it are the weights that step solved
+    at Y_it, and diag_it its diagnostics (frozen indices and the density
+    and score evaluations of that step).
+
     Degenerate weights freeze the affected particle for the iteration and
     the run continues (status degenerate-weights-occurred). A non-finite
     map aborts with a diverged-run error carrying the partial trajectory.
@@ -209,12 +203,12 @@ def run_msip(t, p, Y0, callbacks=None, store_positions=False):
         if diag["frozen"]:
             traj.status = "degenerate-weights-occurred"
         traj.steps.append({"iteration": it, "w": w, "frozen": diag["frozen"]})
+        if callbacks:
+            for cb in callbacks:
+                cb(it, Y, w, diag)
         if store_positions:
             traj.positions.append(Y_next.copy())
         Y = Y_next
-        if callbacks:
-            for cb in callbacks:
-                cb(it + 1, Y, w, diag)
     # final weights at the last configuration
     v0, _, de, se = _embeddings(Y, t, p, iteration=p.T)
     traj.density_evals += de

@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import CbsParams, SvgdParams, run_cbs, run_svgd
-from .dynamics import (
-    MsipParams,
-    ParticleConfiguration,
-    run_msip,
-    solve_weights,
-)
+from .dynamics import MsipParams, ParticleConfiguration, run_msip
 from .errors import ConfigError, DivergedRunError, NonNormalizableError
 from .kernel import KernelSpec
 from .metrics import (
@@ -426,10 +421,13 @@ class _TrialRecorder:
             else:
                 vals["mmd2"] = self.ref_mmd(Y, wn)
         if "ksd" in requested:
-            vals["ksd"] = (
-                ksd(Y, wn, self.target.score, self.ksd_params)
-                if wn is not None else float("nan")
-            )
+            vals["ksd"] = float("nan")
+            if wn is not None:
+                try:
+                    vals["ksd"] = ksd(Y, wn, self.target.score,
+                                      self.ksd_params)
+                except ValueError:  # the score is not finite at some y_i
+                    pass
         if "loglik" in requested:
             vals["loglik"] = (
                 weighted_loglik(Y, wn, self.target)
@@ -463,36 +461,22 @@ def _run_trial(cfg, target, trial, ksd_params, ref_mmd):
                          t0=time.perf_counter())
     uniform = np.full(M, 1.0 / M)
 
+    def cb(it, Y, w, diag):
+        if it % every == 0:
+            rec.record(it, Y, uniform if w is None else w)
+        rec.density_evals += diag["density_evals"]
+        rec.score_evals += diag["score_evals"]
+        if diag["frozen"]:
+            rec.status = "degenerate-weights-occurred"
+
     if name in _MSIP_ESTIMATOR:
-        rec.record(0, Y0, solve_weights(Y0, target, params, iteration=0))
-
-        def cb(it, Y, w_step, diag):
-            rec.density_evals += diag["density_evals"]
-            rec.score_evals += diag["score_evals"]
-            if diag["frozen"]:
-                rec.status = "degenerate-weights-occurred"
-            if it < params.T and it % every == 0:
-                rec.record(it, Y, solve_weights(Y, target, params,
-                                                iteration=it))
-
-        runner = lambda: run_msip(target, params, Y0, callbacks=[cb])
+        run = run_msip
+    elif name in ("svgd", "a-svgd"):
+        run = run_svgd
     else:
-        rec.record(0, Y0, uniform)
-        per_step = (0, M) if name in ("svgd", "a-svgd") else (M, 0)
-
-        def cb(it, Y, _w, _diag):
-            rec.density_evals += per_step[0]
-            rec.score_evals += per_step[1]
-            if it < params.T and it % every == 0:
-                rec.record(it, Y, uniform)
-
-        if name in ("svgd", "a-svgd"):
-            runner = lambda: run_svgd(target, params, Y0, callbacks=[cb])
-        else:
-            runner = lambda: run_cbs(target, params, Y0, callbacks=[cb])
-
+        run = run_cbs
     try:
-        traj, final = runner()
+        traj, final = run(target, params, Y0, callbacks=[cb])
     except DivergedRunError:
         rec.status = "diverged"
         if rec.last is None:

@@ -78,29 +78,38 @@ def normalized(t):
     )
 
 
-def _component_logpdfs(t, X, chols):
-    """log N(x; mu_k, C_k) for every point and component, (n, K)."""
-    n = X.shape[0]
-    out = np.empty((n, t.k))
+def _mixture(t, X, chols, score=False):
+    """(log-density, score or None) of the mixture with factors chols at X.
+
+    chols are the Cholesky factors of the component covariances: t._chols
+    for the target itself, t.blurred_chols(sigma) for its embedding. The
+    score -sum_k r_k(x) C_k^{-1} (x - mu_k) reuses the whitening solves of
+    the log-density.
+    """
+    lp = np.empty((X.shape[0], t.k))
+    zs = []
     for k in range(t.k):
         L = chols[k]
         z = solve_triangular(L, (X - t.means[k]).T, lower=True,
                              check_finite=False)
+        zs.append(z)
         logdet = np.sum(np.log(np.diag(L)))
-        out[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdet \
+        lp[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdet \
             - 0.5 * t.dim * _LOG_2PI
-    return out
-
-
-def _mixture_lse(t, X, chols):
-    """(log-density, responsibilities) of the mixture at X, stably."""
-    lp = _component_logpdfs(t, X, chols) + np.log(t.weights)
+    lp += np.log(t.weights)
     m = lp.max(axis=1, keepdims=True)
     e = np.exp(lp - m)
     s = e.sum(axis=1)
     logp = m[:, 0] + np.log(s)
+    if not score:
+        return logp, None
     resp = e / s[:, None]
-    return logp, resp
+    out = np.zeros_like(X)
+    for k in range(t.k):
+        w = solve_triangular(chols[k].T, zs[k], lower=False,
+                             check_finite=False)
+        out -= resp[:, k, None] * w.T
+    return logp, out
 
 
 def _as_batch(x, dim):
@@ -117,33 +126,21 @@ def _as_batch(x, dim):
 def gmm_log_density(t, x):
     """log sum_k m_k N(x; mu_k, Sigma_k) via Cholesky whitening + LSE."""
     X, single = _as_batch(x, t.dim)
-    logp, _ = _mixture_lse(t, X, t._chols)
+    logp, _ = _mixture(t, X, t._chols)
     return logp[0] if single else logp
 
 
 def gmm_score(t, x):
     """grad log density: -sum_k r_k(x) Sigma_k^{-1} (x - mu_k)."""
     X, single = _as_batch(x, t.dim)
-    _, resp = _mixture_lse(t, X, t._chols)
-    out = np.zeros_like(X)
-    for k in range(t.k):
-        L = t._chols[k]
-        z = solve_triangular(L, (X - t.means[k]).T, lower=True,
-                             check_finite=False)
-        w = solve_triangular(L.T, z, lower=False, check_finite=False)
-        out -= resp[:, k, None] * w.T
-    return out[0] if single else out
+    _, score = _mixture(t, X, t._chols, score=True)
+    return score[0] if single else score
 
 
 def _gmm_log_v0(t, y, sigma):
     Y, single = _as_batch(y, t.dim)
-    blurred = GmmTarget(t.weights, t.means, t.covs,
-                        _chols=t.blurred_chols(sigma), _blurred={})
-    lp = _component_logpdfs(blurred, Y, blurred._chols) + np.log(t.weights)
-    m = lp.max(axis=1, keepdims=True)
-    logv = m[:, 0] + np.log(np.exp(lp - m).sum(axis=1)) \
-        + log_omega(sigma, t.dim)
-    return logv, single
+    logp, _ = _mixture(t, Y, t.blurred_chols(sigma))
+    return logp + log_omega(sigma, t.dim), single
 
 
 def gmm_v0(t, y, sigma):
@@ -181,17 +178,8 @@ def gmm_c_pi(t, sigma):
 def gmm_grad_log_v0(t, y, sigma):
     """grad log v0: responsibility-weighted -(Sigma_k + sigma^2 I)^{-1}(y-mu_k)."""
     Y, single = _as_batch(y, t.dim)
-    chols = t.blurred_chols(sigma)
-    blurred = GmmTarget(t.weights, t.means, t.covs, _chols=chols, _blurred={})
-    _, resp = _mixture_lse(blurred, Y, chols)
-    out = np.zeros_like(Y)
-    for k in range(t.k):
-        L = chols[k]
-        z = solve_triangular(L, (Y - t.means[k]).T, lower=True,
-                             check_finite=False)
-        w = solve_triangular(L.T, z, lower=False, check_finite=False)
-        out -= resp[:, k, None] * w.T
-    return out[0] if single else out
+    _, score = _mixture(t, Y, t.blurred_chols(sigma), score=True)
+    return score[0] if single else score
 
 
 # ------------------------------------------------------------- target wrapper

@@ -155,7 +155,7 @@ class TestRunSvgd:
         p = SvgdParams(eta=0.1, T=3)
         run_svgd(STD_NORMAL, p, np.zeros((2, 1)),
                  callbacks=[lambda it, Y, w, diag: seen.append(it)])
-        assert seen == [1, 2, 3]
+        assert seen == [0, 1, 2]
 
 
 class TestConsensus:

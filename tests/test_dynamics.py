@@ -13,7 +13,6 @@ from msip.dynamics import (
     objective,
     objective_gradient,
     run_msip,
-    solve_weights,
 )
 from msip.errors import (
     AnalyticUnavailableError,
@@ -148,13 +147,6 @@ class TestStep:
         assert np.array_equal(Y_next[5], Y[5])
         assert not np.allclose(Y_next[:5], Y[:5])
 
-    def test_weights_match_solve_weights(self):
-        target = make_benchmark("gmm", 2, seed=3)
-        Y = np.random.default_rng(96).uniform(0.0, 7.5, size=(7, 2))
-        p = params(estimator="stein", Q=6)
-        _, w, _ = msip_step(Y, target, p, iteration=5)
-        assert np.array_equal(w, solve_weights(Y, target, p, iteration=5))
-
 
 class TestRun:
     def test_deterministic_and_final_weights_consistent(self):
@@ -167,7 +159,7 @@ class TestRun:
         assert np.array_equal(final_a.w, final_b.w)
         assert traj_a.status == traj_b.status == "ok"
         assert np.array_equal(
-            final_a.w, solve_weights(final_a.Y, target, p, iteration=p.T)
+            final_a.w, msip_step(final_a.Y, target, p, iteration=p.T)[1]
         )
 
     def test_positions_and_callbacks(self):
@@ -177,10 +169,14 @@ class TestRun:
         seen = []
         traj, final = run_msip(
             target, p, Y0,
-            callbacks=[lambda it, Y, w, diag: seen.append(it)],
+            callbacks=[lambda it, Y, w, diag: seen.append((it, Y, w))],
             store_positions=True,
         )
-        assert seen == [1, 2, 3, 4]
+        # call it sees Y_it with the weights step it solved there
+        assert [it for it, _, _ in seen] == [0, 1, 2, 3]
+        for it, Y, w in seen:
+            assert np.array_equal(Y, traj.positions[it])
+            assert np.array_equal(w, traj.steps[it]["w"])
         assert len(traj.positions) == 5
         assert np.array_equal(traj.positions[0], Y0)
         assert np.array_equal(traj.positions[-1], final.Y)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msip.kernel
 import msip.metrics
 from msip.baselines import CbsParams, SvgdParams
 from msip.dynamics import MsipParams, ParticleConfiguration
@@ -27,7 +28,7 @@ from msip.harness import (
     write_outputs,
 )
 from msip.metrics import SampleMmd, normalize_weights
-from msip.targets import make_benchmark, reference_samples
+from msip.targets import TargetDensity, make_benchmark, reference_samples
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -388,12 +389,21 @@ class TestRunExperiment:
             assert rowa["ksd"] == rowb["ksd"]
 
     def test_counters_accumulate_per_iteration(self):
-        cfg = small_config()  # msip-f, M = 5, T = 20, every 5
-        rows = run_experiment(cfg)[0].report.rows
-        assert [r["iteration"] for r in rows] == [0, 5, 10, 15, 20]
-        assert [r["density_evals"] for r in rows] == [0, 25, 50, 75, 105]
-        assert [r["score_evals"] for r in rows] == [0, 25, 50, 75, 105]
-        assert all(r["status"] == "ok" for r in rows)
+        # M = 5, T = 20, every 5; row i counts steps 0 ... i-1, and msip-f's
+        # final row also counts the final weight solve
+        expected = {
+            "msip-f": ([0, 25, 50, 75, 105], [0, 25, 50, 75, 105]),
+            "svgd": ([0, 0, 0, 0, 0], [0, 25, 50, 75, 100]),
+            "cbs": ([0, 25, 50, 75, 100], [0, 0, 0, 0, 0]),
+        }
+        for name, (density, score) in expected.items():
+            cfg = small_config(algorithm={"name": name, "params": {"T": 20}},
+                               trials={"count": 1, "base_seed": 0})
+            rows = run_experiment(cfg)[0].report.rows
+            assert [r["iteration"] for r in rows] == [0, 5, 10, 15, 20]
+            assert [r["density_evals"] for r in rows] == density, name
+            assert [r["score_evals"] for r in rows] == score, name
+            assert all(r["status"] == "ok" for r in rows)
 
     def test_metric_subset_leaves_other_columns_none(self):
         cfg = small_config(metrics={"list": ["loglik"],
@@ -417,7 +427,7 @@ class TestRunExperiment:
         cfg = small_config(
             target={"name": "funnel", "dim": 2},
             algorithm={"name": "msip-gf", "params": {"T": 10}},
-            metrics={"list": ["mmd2"], "every_n_iters": 5,
+            metrics={"list": ["mmd2", "loglik"], "every_n_iters": 5,
                      "reference_sample_size": 400},
             trials={"count": 1, "base_seed": 0},
         )
@@ -428,12 +438,34 @@ class TestRunExperiment:
             calls.append(args)
             return self_rowsums(*args)
 
+        grams = []
+        gram = msip.kernel.gram
+
+        def counted_gram(*args):
+            grams.append(args)
+            return gram(*args)
+
+        points = []
+        log_density = TargetDensity.log_density
+
+        def counted_log_density(self, x):
+            points.append(np.atleast_2d(x).shape[0])
+            return log_density(self, x)
+
         monkeypatch.setattr(msip.metrics, "se_self_rowsums", counted)
+        monkeypatch.setattr(msip.kernel, "gram", counted_gram)
+        monkeypatch.setattr(TargetDensity, "log_density",
+                            counted_log_density)
         result = run_experiment(cfg)[0]
         rows = result.report.rows
         assert len(rows) == 3
         # the N x N self term is computed once per experiment, not per row
         assert len(calls) == 1
+        # rows reuse the weights of the step: one Gram per step and one for
+        # the final solve, and every density evaluation is either counted
+        # or one of the M points of a loglik row
+        assert len(grams) == 10 + 1
+        assert sum(points) == rows[-1]["density_evals"] + 5 * len(rows)
         assert all(row["mmd2"] >= 0.0 for row in rows)
         assert all(math.isfinite(row["mmd2"]) for row in rows)
         target = make_benchmark("funnel", 2, cfg.target["seed"])
@@ -441,6 +473,22 @@ class TestRunExperiment:
         mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
         final = result.final
         assert rows[-1]["mmd2"] == mmd(final.Y, normalize_weights(final.w))
+
+    def test_non_finite_score_records_nan_ksd(self):
+        # CBS throws funnel particles so far out that the score overflows
+        # at some rows; those rows report ksd as NaN and the run goes on.
+        cfg = small_config(
+            target={"name": "funnel", "dim": 2},
+            algorithm={"name": "cbs", "params": {"T": 50}},
+            metrics={"list": ["ksd"], "every_n_iters": 10},
+            trials={"count": 1, "base_seed": 0},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(cfg)[0]
+        ksds = [row["ksd"] for row in result.report.rows]
+        assert len(ksds) == 6
+        assert any(math.isnan(v) for v in ksds)
+        assert result.status == "ok"
 
     def test_divergence_is_recorded_not_raised(self):
         cfg = small_config(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from msip.dynamics import MsipParams, objective, optimal_weights, solve_weights
+from msip.dynamics import MsipParams, msip_step, objective, optimal_weights
 from msip.errors import NonNormalizableError
 from msip.kernel import KernelSpec, gram
 from msip.metrics import (
@@ -62,7 +62,7 @@ class TestMmd2VsGmm:
         p = MsipParams(kernel=KernelSpec(sigma=0.5, lam=0.0),
                        estimator="analytic")
         Y = reference_samples(target, 10, seed=15)
-        w = solve_weights(Y, target, p)
+        w = msip_step(Y, target, p)[1]
         val = mmd2_vs_gmm(Y, w, target.analytic, 0.5)
         assert val == pytest.approx(2.0 * objective(Y, target, p),
                                     rel=1e-10, abs=1e-14)
