@@ -33,10 +33,6 @@ from .embeddings import (
     EmbeddingEstimate,
     InnerQuadrature,
     estimate_embeddings,
-    estimate_v0,
-    estimate_v1_gradient_free,
-    estimate_v1_hybrid,
-    estimate_v1_stein,
     mc_inner_quadrature,
     one_point_rule,
 )

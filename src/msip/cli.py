@@ -19,7 +19,12 @@ import numpy as np
 
 from .dynamics import ParticleConfiguration
 from .errors import ConfigError, MsipError
-from .harness import parse_config, run_experiment, write_outputs
+from .harness import (
+    _MSIP_ESTIMATOR,
+    parse_config,
+    run_experiment,
+    write_outputs,
+)
 from .svgplot import emit_scatter_svg
 from .targets import make_benchmark
 
@@ -144,8 +149,7 @@ def _cmd_grad_check(args):
             "embeddings required)"
         )
     params = cfg.algorithm["params"]
-    if cfg.algorithm["name"] not in ("msip-f", "msip-gi", "msip-gf",
-                                     "msip-hybrid"):
+    if cfg.algorithm["name"] not in _MSIP_ESTIMATOR:
         raise ConfigError("grad-check needs an msip-* algorithm config")
     worst = gradient_check(
         target,

@@ -10,13 +10,12 @@ The penalized objective and its exact gradient are available for targets
 with analytic embeddings (Gaussian mixtures).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernel as kern
-from .embeddings import estimate_embeddings, mc_inner_quadrature
+from .embeddings import ESTIMATORS, estimate_embeddings, mc_inner_quadrature
 from .errors import (
     AnalyticUnavailableError,
     DegenerateWeightError,
@@ -29,8 +28,6 @@ from .targets import gmm_c_pi, gmm_grad_log_v0, gmm_v0, normalized
 # participate normally (their divisions may launch particles far out, which
 # the bounds clamp projects back onto the box).
 WEIGHT_FLOOR = 1e-300
-
-ESTIMATORS = ("fredholm", "stein", "gf", "hybrid", "analytic")
 
 
 @dataclass(frozen=True)
@@ -84,30 +81,12 @@ class Trajectory:
     status: str = "ok"
 
 
-def _analytic_embeddings(t, Y, sigma):
-    if t.analytic is None:
-        raise AnalyticUnavailableError(
-            f"target {t.name or '<anonymous>'} has no analytic embeddings"
-        )
-    scale = math.exp(t.log_scale_offset)
-    v0 = gmm_v0(t.analytic, Y, sigma) * scale
-    v1 = v0[:, None] * (Y + sigma**2 * gmm_grad_log_v0(t.analytic, Y, sigma))
-    return v0, v1
-
-
-def _embeddings(Y, t, p, iteration):
-    """(v0, v1, density_evals, score_evals) for the configured estimator."""
-    if p.estimator == "analytic":
-        v0, v1 = _analytic_embeddings(t, Y, p.kernel.sigma)
-        return v0, v1, 0, 0
-    if p.estimator == "fredholm":
-        rule = None  # estimate_embeddings substitutes the one-point rule
-    else:
-        rule = mc_inner_quadrature(p.Q, Y.shape[1], [p.seed, 1, iteration])
-    est = estimate_embeddings(
-        t, Y, p.kernel.sigma, rule, p.estimator, gamma=p.gamma
-    )
-    return est.v0_hat, est.v1_hat, est.density_evals, est.score_evals
+def _inner_rule(p, d, iteration):
+    """The seeded inner rule of one iteration; None where the estimator
+    reads no rule (fredholm uses the one-point rule)."""
+    if p.estimator in ("fredholm", "analytic"):
+        return None
+    return mc_inner_quadrature(p.Q, d, [p.seed, 1, iteration])
 
 
 def optimal_weights(G, v0_hat):
@@ -116,13 +95,15 @@ def optimal_weights(G, v0_hat):
 
 
 def _map_parts(Y, t, p, iteration, degenerate):
-    v0, v1, de, se = _embeddings(Y, t, p, iteration)
+    est = estimate_embeddings(t, Y, p.kernel.sigma,
+                              _inner_rule(p, Y.shape[1], iteration),
+                              p.estimator, gamma=p.gamma)
     G = kern.gram(Y, p.kernel)
-    w = optimal_weights(G, v0)
+    w = optimal_weights(G, est.v0_hat)
     frozen = np.abs(w) < WEIGHT_FLOOR
     if frozen.any() and degenerate == "raise":
         raise DegenerateWeightError(np.nonzero(frozen)[0].tolist())
-    Z = kern.solve(G, v1)
+    Z = kern.solve(G, est.v1_hat)
     wsafe = np.where(frozen, 1.0, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         psi = Z / wsafe[:, None]
@@ -135,7 +116,7 @@ def _map_parts(Y, t, p, iteration, degenerate):
             f"non-finite map output for particle(s) {rows} "
             f"at iteration {iteration}"
         )
-    return psi, w, v0, frozen, de, se
+    return psi, w, frozen, est
 
 
 def msip_map(Y, t, p, iteration=0):
@@ -145,7 +126,7 @@ def msip_map(Y, t, p, iteration=0):
     any |w_i| underflows; callers choose the policy (see run_msip).
     """
     Y = np.asarray(Y, dtype=float)
-    psi, _, _, _, _, _ = _map_parts(Y, t, p, iteration, degenerate="raise")
+    psi, _, _, _ = _map_parts(Y, t, p, iteration, degenerate="raise")
     return psi
 
 
@@ -157,16 +138,16 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     diagnostics.
     """
     Y = np.asarray(Y, dtype=float)
-    psi, w, v0, frozen, de, se = _map_parts(Y, t, p, iteration, degenerate)
+    psi, w, frozen, est = _map_parts(Y, t, p, iteration, degenerate)
     Y_next = (1.0 - p.eta) * Y + p.eta * psi
     if p.bounds is not None:
         np.clip(Y_next, p.bounds[0], p.bounds[1], out=Y_next)
     diagnostics = {
-        "v0_hat": v0,
+        "v0_hat": est.v0_hat,
         "w": w,
         "frozen": np.nonzero(frozen)[0].tolist(),
-        "density_evals": de,
-        "score_evals": se,
+        "density_evals": est.density_evals,
+        "score_evals": est.score_evals,
     }
     return Y_next, w, diagnostics
 
@@ -210,10 +191,12 @@ def run_msip(t, p, Y0, callbacks=None, store_positions=False):
             traj.positions.append(Y_next.copy())
         Y = Y_next
     # final weights at the last configuration
-    v0, _, de, se = _embeddings(Y, t, p, iteration=p.T)
-    traj.density_evals += de
-    traj.score_evals += se
-    w = optimal_weights(kern.gram(Y, p.kernel), v0)
+    est = estimate_embeddings(t, Y, p.kernel.sigma,
+                              _inner_rule(p, Y.shape[1], p.T),
+                              p.estimator, gamma=p.gamma)
+    traj.density_evals += est.density_evals
+    traj.score_evals += est.score_evals
+    w = optimal_weights(kern.gram(Y, p.kernel), est.v0_hat)
     return traj, ParticleConfiguration(Y=Y, w=w)
 
 

@@ -1,20 +1,27 @@
 """Inner quadrature rules and the v0 / v1 embedding estimators.
 
-Four estimator families share one evaluation pass over the probe points
-y_i + sigma * xi_q: gradient-free, Stein (score-informed), the one-point
-Fredholm pair, and the gamma-hybrid. All arithmetic runs in log space with
-a per-particle max shift, so only genuinely out-of-range densities
-underflow the absolute scale of the result.
+Four estimator families read one evaluation of the target at the probe
+points y_i + sigma * xi_q: gradient-free, Stein (score-informed), the
+one-point Fredholm pair, and the gamma-hybrid. All arithmetic runs in log
+space with a per-particle max shift, so only genuinely out-of-range
+densities underflow the absolute scale of the result. The fifth,
+analytic, reads the exact embeddings of a Gaussian-mixture target.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimatorUnavailableError, NonFiniteDensityError
+from .errors import (
+    AnalyticUnavailableError,
+    EstimatorUnavailableError,
+    NonFiniteDensityError,
+)
 from .kernel import log_omega
+from .targets import gmm_grad_log_v0, gmm_v0
 
-ESTIMATOR_TAGS = ("fredholm", "stein", "gf", "hybrid")
+ESTIMATORS = ("fredholm", "stein", "gf", "hybrid", "analytic")
 
 
 @dataclass(frozen=True)
@@ -55,22 +62,6 @@ def mc_inner_quadrature(q, d, rng_seed):
 
 
 @dataclass
-class EvalCache:
-    """One evaluation pass shared by paired v0/v1 calls.
-
-    probes[i, q] = y_i + sigma * xi_q; logpi holds the target log-density
-    at every probe; scores is filled only when a score-using estimator
-    asked for it.
-    """
-
-    probes: np.ndarray
-    logpi: np.ndarray
-    scores: np.ndarray | None
-    density_evals: int
-    score_evals: int
-
-
-@dataclass
 class EmbeddingEstimate:
     """v0 (M,) and v1 (M, d) estimates plus evaluation counters."""
 
@@ -81,128 +72,73 @@ class EmbeddingEstimate:
     score_evals: int
 
 
-def build_cache(t, Y, sigma, rule, need_score=False):
-    """Evaluate the target once per (particle, node) pair."""
+def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
+    """(v0_hat, v1_hat) at Y for a named estimator, from one target call.
+
+    With pi_q = pi(y + sigma xi_q), s_q its score and u_q the rule weights:
+      v0_hat(y) = omega sum_q u_q pi_q;
+      gf:     v1_hat(y) = y v0_hat(y) + sigma omega sum_q u_q xi_q pi_q,
+              so a symmetric rule cancels the odd term exactly and the
+              one-point rule returns y * v0_hat verbatim;
+      stein:  v1_hat(y) = y v0_hat(y) + sigma^2 omega sum_q u_q pi_q s_q,
+              the Gaussian integration-by-parts identity;
+      hybrid: (1 - gamma) * gf + gamma * stein on the same evaluations;
+      fredholm ignores the passed rule and uses the one-point rule, giving
+              v0 = omega pi(y), v1 = omega pi(y)(y + sigma^2 score(y));
+      analytic ignores the rule and reads the target's exact mixture
+              embeddings, scaled by exp(log_scale_offset).
+    """
     Y = np.asarray(Y, dtype=float)
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; expected {ESTIMATORS}"
+        )
+    if estimator == "hybrid" and not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if estimator == "analytic":
+        if t.analytic is None:
+            raise AnalyticUnavailableError(
+                f"target {t.name or '<anonymous>'} has no analytic "
+                "embeddings"
+            )
+        v0 = gmm_v0(t.analytic, Y, sigma) * math.exp(t.log_scale_offset)
+        v1 = v0[:, None] * (Y + sigma**2
+                            * gmm_grad_log_v0(t.analytic, Y, sigma))
+        return EmbeddingEstimate(v0, v1, estimator, 0, 0)
     m, d = Y.shape
+    if estimator == "fredholm":
+        rule = one_point_rule(d)
+    use_gf = estimator == "gf" or (estimator == "hybrid" and gamma < 1.0)
+    use_stein = estimator in ("fredholm", "stein") \
+        or (estimator == "hybrid" and gamma > 0.0)
     probes = Y[:, None, :] + sigma * rule.nodes[None, :, :]
     flat = probes.reshape(m * rule.q, d)
-    logpi = t.log_density(flat).reshape(m, rule.q)
-    if not np.all(np.isfinite(logpi)):
-        bad = np.unique(np.nonzero(~np.isfinite(logpi))[0])
-        raise NonFiniteDensityError(bad.tolist())
-    scores = None
-    score_evals = 0
-    if need_score:
+    if use_stein:
         if not t.has_score:
             raise EstimatorUnavailableError(
                 "estimator needs a score but the target has none"
             )
-        scores = t.score(flat).reshape(m, rule.q, d)
-        score_evals = m * rule.q
-    return EvalCache(
-        probes=probes,
-        logpi=logpi,
-        scores=scores,
-        density_evals=m * rule.q,
-        score_evals=score_evals,
-    )
-
-
-def _shifted(cache, sigma, d):
-    """Per-particle shift S_i and the shifted weights omega * u_q * pi."""
-    s = cache.logpi.max(axis=1)
-    w = np.exp(cache.logpi - s[:, None])
-    scale = np.exp(s + log_omega(sigma, d))
-    return w, scale
-
-
-def estimate_v0(t, Y, sigma, rule, cache=None):
-    """v0_hat(y_i) = omega_{sigma,d} sum_q u_q pi(y_i + sigma xi_q)."""
-    Y = np.asarray(Y, dtype=float)
-    if cache is None:
-        cache = build_cache(t, Y, sigma, rule)
-    w, scale = _shifted(cache, sigma, Y.shape[1])
-    return scale * (w @ rule.weights)
-
-
-def estimate_v1_gradient_free(t, Y, sigma, rule, cache=None):
-    """Score-free v1_hat, written in the split form.
-
-    v1_hat(y) = y * v0_hat(y) + sigma * omega * sum_q u_q xi_q pi_q, so a
-    symmetric rule cancels the odd term exactly and the one-point rule
-    returns y * v0_hat verbatim.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if cache is None:
-        cache = build_cache(t, Y, sigma, rule)
-    w, scale = _shifted(cache, sigma, Y.shape[1])
-    v0 = scale * (w @ rule.weights)
-    drift = np.einsum("iq,qd->id", w * rule.weights, rule.nodes)
-    return Y * v0[:, None] + sigma * scale[:, None] * drift
-
-
-def estimate_v1_stein(t, Y, sigma, rule, cache=None):
-    """Score-informed v1_hat via the Gaussian integration-by-parts identity.
-
-    v1_hat(y) = y * v0_hat(y) + sigma^2 omega sum_q u_q pi_q s(y + sigma xi_q);
-    with the one-point rule this is the Fredholm pair
-    omega pi(y) (y + sigma^2 s(y)).
-    """
-    Y = np.asarray(Y, dtype=float)
-    if cache is None or cache.scores is None:
-        cache = build_cache(t, Y, sigma, rule, need_score=True)
-    w, scale = _shifted(cache, sigma, Y.shape[1])
-    v0 = scale * (w @ rule.weights)
-    drift = np.einsum("iq,iqd->id", w * rule.weights, cache.scores)
-    return Y * v0[:, None] + sigma**2 * scale[:, None] * drift
-
-
-def estimate_v1_hybrid(gamma, t, Y, sigma, rule, cache=None):
-    """(1-gamma) * gradient-free + gamma * Stein on shared evaluations."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    Y = np.asarray(Y, dtype=float)
-    if cache is None:
-        cache = build_cache(t, Y, sigma, rule, need_score=gamma > 0.0)
-    if gamma == 0.0:
-        return estimate_v1_gradient_free(t, Y, sigma, rule, cache)
-    if gamma == 1.0:
-        return estimate_v1_stein(t, Y, sigma, rule, cache)
-    gf = estimate_v1_gradient_free(t, Y, sigma, rule, cache)
-    st = estimate_v1_stein(t, Y, sigma, rule, cache)
-    return (1.0 - gamma) * gf + gamma * st
-
-
-def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
-    """One-pass (v0_hat, v1_hat) for a named estimator.
-
-    fredholm ignores the passed rule and uses the one-point rule, giving
-    v0 = omega pi(y), v1 = omega pi(y)(y + sigma^2 score(y)).
-    """
-    Y = np.asarray(Y, dtype=float)
-    if estimator not in ESTIMATOR_TAGS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected {ESTIMATOR_TAGS}"
-        )
-    if estimator == "fredholm":
-        rule = one_point_rule(Y.shape[1])
-        cache = build_cache(t, Y, sigma, rule, need_score=True)
-        v1 = estimate_v1_stein(t, Y, sigma, rule, cache)
-    elif estimator == "stein":
-        cache = build_cache(t, Y, sigma, rule, need_score=True)
-        v1 = estimate_v1_stein(t, Y, sigma, rule, cache)
-    elif estimator == "gf":
-        cache = build_cache(t, Y, sigma, rule)
-        v1 = estimate_v1_gradient_free(t, Y, sigma, rule, cache)
+        logpi, scores = t.log_density_and_score(flat)
     else:
-        cache = build_cache(t, Y, sigma, rule, need_score=gamma > 0.0)
-        v1 = estimate_v1_hybrid(gamma, t, Y, sigma, rule, cache)
-    v0 = estimate_v0(t, Y, sigma, rule, cache)
-    return EmbeddingEstimate(
-        v0_hat=v0,
-        v1_hat=v1,
-        estimator_tag=estimator,
-        density_evals=cache.density_evals,
-        score_evals=cache.score_evals,
-    )
+        logpi = t.log_density(flat)
+    logpi = logpi.reshape(m, rule.q)
+    if not np.all(np.isfinite(logpi)):
+        bad = np.unique(np.nonzero(~np.isfinite(logpi))[0])
+        raise NonFiniteDensityError(bad.tolist())
+    s = logpi.max(axis=1)
+    w = np.exp(logpi - s[:, None])
+    scale = np.exp(s + log_omega(sigma, d))
+    v0 = scale * (w @ rule.weights)
+    wu = w * rule.weights
+    if use_gf:
+        drift = np.einsum("iq,qd->id", wu, rule.nodes)
+        gf = Y * v0[:, None] + sigma * scale[:, None] * drift
+    if use_stein:
+        drift = np.einsum("iq,iqd->id", wu, scores.reshape(m, rule.q, d))
+        stein = Y * v0[:, None] + sigma**2 * scale[:, None] * drift
+    if use_gf and use_stein:
+        v1 = (1.0 - gamma) * gf + gamma * stein
+    else:
+        v1 = gf if use_gf else stein
+    n = m * rule.q
+    return EmbeddingEstimate(v0, v1, estimator, n, n if use_stein else 0)

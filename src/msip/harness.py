@@ -67,13 +67,9 @@ def _fixture_row(name, dim):
     if name == "funnel":
         return dict(eta=0.5 if dim == 2 else 0.05, sigma=0.1, ksd_bw=0.1,
                     T=1000, trials=10, init_mean=0.0)
-    if name == "himmelblau":
-        return dict(eta=0.1, sigma=0.05, ksd_bw=0.1, T=1000, trials=10,
-                    init_mean=0.0)
-    raise ConfigError(
-        f"target.name: unknown benchmark {name!r}; expected one of "
-        f"{BENCHMARK_NAMES}"
-    )
+    # himmelblau: parse_config has rejected unknown names before this call
+    return dict(eta=0.1, sigma=0.05, ksd_bw=0.1, T=1000, trials=10,
+                init_mean=0.0)
 
 
 @dataclass
@@ -222,6 +218,9 @@ def parse_config(text):
     )
     _reject_unknown(overrides, tuple(params), "algorithm.params.")
     params.update(overrides)
+    for key in ("T", "Q"):
+        if key in params:
+            _as_int(params[key], f"algorithm.params.{key}", minimum=1)
     if params.get("bounds") is not None and aname in _MSIP_ESTIMATOR:
         b = params["bounds"]
         _require(

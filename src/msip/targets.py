@@ -189,31 +189,43 @@ def gmm_grad_log_v0(t, y, sigma):
 class TargetDensity:
     """Unnormalized log-density with optional score and analytic embeddings.
 
+    ``base_log_density`` maps (n, d) points to (n,) log-densities and
+    ``base_log_density_and_score``, when the target has a score, to the
+    pair ((n,), (n, d)) from one evaluation. The methods accept (n, d) or
+    a single (d,) point and squeeze the result back for a single point.
     ``log_scale_offset`` models an unknown normalization constant: it is
     added to every log-density evaluation and leaves scores untouched.
     """
 
     dim: int
     base_log_density: Callable
-    base_score: Callable | None = None
+    base_log_density_and_score: Callable | None = None
     log_scale_offset: float = 0.0
     analytic: GmmTarget | None = None
     name: str = ""
 
     def log_density(self, x):
-        return self.base_log_density(np.asarray(x, dtype=float)) \
-            + self.log_scale_offset
+        X, single = _as_batch(x, self.dim)
+        logp = self.base_log_density(X) + self.log_scale_offset
+        return logp[0] if single else logp
 
     @property
     def has_score(self):
-        return self.base_score is not None
+        return self.base_log_density_and_score is not None
 
-    def score(self, x):
-        if self.base_score is None:
+    def log_density_and_score(self, x):
+        """(log-density, score) at x from one evaluation of the target."""
+        if self.base_log_density_and_score is None:
             raise EstimatorUnavailableError(
                 f"target {self.name or '<anonymous>'} has no score"
             )
-        return self.base_score(np.asarray(x, dtype=float))
+        X, single = _as_batch(x, self.dim)
+        logp, score = self.base_log_density_and_score(X)
+        logp = logp + self.log_scale_offset
+        return (logp[0], score[0]) if single else (logp, score)
+
+    def score(self, x):
+        return self.log_density_and_score(x)[1]
 
     def with_offset(self, log_scale_offset):
         """Same target with a different normalization offset."""
@@ -224,8 +236,9 @@ def from_gmm(t, name="gmm"):
     """Wrap a GmmTarget as a TargetDensity with analytic embeddings."""
     return TargetDensity(
         dim=t.dim,
-        base_log_density=lambda x: gmm_log_density(t, x),
-        base_score=lambda x: gmm_score(t, x),
+        base_log_density=lambda X: _mixture(t, X, t._chols)[0],
+        base_log_density_and_score=lambda X: _mixture(t, X, t._chols,
+                                                      score=True),
         analytic=t,
         name=name,
     )
@@ -267,7 +280,7 @@ def _funnel_logp(X):
     return lp
 
 
-def _funnel_score(X):
+def _funnel_logp_and_score(X):
     x1 = X[:, 0]
     rest = X[:, 1:]
     d_rest = rest.shape[1]
@@ -276,7 +289,7 @@ def _funnel_score(X):
     out[:, 0] = -x1 / 9.0 - 0.5 * (d_rest - sq * np.exp(-x1))
     if d_rest:
         out[:, 1:] = -rest * np.exp(-x1)[:, None]
-    return out
+    return _funnel_logp(X), out
 
 
 def _himmelblau_logp(X):
@@ -285,27 +298,13 @@ def _himmelblau_logp(X):
     return -(a**2) - b**2
 
 
-def _himmelblau_score(X):
+def _himmelblau_logp_and_score(X):
     a = X[:, 0] ** 2 + X[:, 1] - 11.0
     b = X[:, 0] + X[:, 1] ** 2 - 7.0
     out = np.empty_like(X)
     out[:, 0] = -4.0 * X[:, 0] * a - 2.0 * b
     out[:, 1] = -2.0 * a - 4.0 * X[:, 1] * b
-    return out
-
-
-def _batched(fn, dim):
-    def call(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            if x.shape[0] != dim:
-                raise ValueError(
-                    f"point has dim {x.shape[0]}, expected {dim}"
-                )
-            return fn(x[None, :])[0]
-        return fn(x)
-
-    return call
+    return -(a**2) - b**2, out
 
 
 BENCHMARK_NAMES = ("gmm", "gmm5-aniso-2d", "funnel", "himmelblau")
@@ -330,8 +329,8 @@ def make_benchmark(name, dim, seed=0):
             raise ValueError("funnel requires dim >= 2")
         return TargetDensity(
             dim=dim,
-            base_log_density=_batched(_funnel_logp, dim),
-            base_score=_batched(_funnel_score, dim),
+            base_log_density=_funnel_logp,
+            base_log_density_and_score=_funnel_logp_and_score,
             name="funnel",
         )
     if name == "himmelblau":
@@ -339,8 +338,8 @@ def make_benchmark(name, dim, seed=0):
             raise ValueError("himmelblau is two-dimensional")
         return TargetDensity(
             dim=2,
-            base_log_density=_batched(_himmelblau_logp, 2),
-            base_score=_batched(_himmelblau_score, 2),
+            base_log_density=_himmelblau_logp,
+            base_log_density_and_score=_himmelblau_logp_and_score,
             name="himmelblau",
         )
     raise ValueError(

@@ -113,8 +113,9 @@ class TestSvgdStep:
         # Flat density: no attraction, so close particles move apart.
         flat = TargetDensity(
             dim=1,
-            base_log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-            base_score=lambda x: np.zeros_like(x),
+            base_log_density=lambda x: np.zeros(x.shape[0]),
+            base_log_density_and_score=lambda x: (np.zeros(x.shape[0]),
+                                                  np.zeros_like(x)),
         )
         Y = np.array([[-0.1], [0.1]])
         stepped = svgd_step(Y, flat, SvgdParams(eta=0.1, bandwidth=1.0))

@@ -65,6 +65,17 @@ class TestUsageErrors:
         assert main(["run", path]) == 1
         assert "particles.count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,path", [({"T": 3.0}, "params.T"),
+                                             ({"T": True}, "params.T"),
+                                             ({"Q": 2.0}, "params.Q")])
+    def test_non_integer_counts_exit_1(self, tmp_path, capsys, params, path):
+        doc = run_doc(tmp_path, algorithm={"name": "msip-gf",
+                                           "params": params})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"algorithm.{path}" in err
+        assert not (tmp_path / "res").exists()
+
 
 class TestRun:
     def test_end_to_end(self, tmp_path, capsys):

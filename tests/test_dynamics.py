@@ -1,10 +1,12 @@
 """The damped mean-shift particle iteration and its penalized objective."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import msip.targets
 from msip.dynamics import (
     ESTIMATORS,
     MsipParams,
@@ -19,6 +21,7 @@ from msip.errors import (
     DegenerateWeightError,
     DivergedRunError,
 )
+from msip.harness import build_params, parse_config
 from msip.kernel import KernelSpec
 from msip.targets import (
     GmmTarget,
@@ -220,6 +223,31 @@ class TestRun:
         # T steps plus the final re-solve, 5 particles x 4 nodes each
         assert traj.density_evals == (3 + 1) * 20
         assert traj.score_evals == (3 + 1) * 20
+
+    @pytest.mark.parametrize("algorithm,points", [("msip-f", 6),
+                                                  ("msip-gi", 6 * 10)])
+    def test_one_mixture_pass_per_step(self, monkeypatch, algorithm, points):
+        # The log-density and the score of every probe come from one
+        # evaluation of the mixture.
+        cfg = parse_config(json.dumps({
+            "target": {"name": "gmm", "dim": 2},
+            "algorithm": {"name": algorithm}, "particles": {"M": 6},
+        }))
+        p = build_params(cfg, seed=0)
+        target = make_benchmark("gmm", 2)
+        calls = []
+
+        def counted(t, X, chols, score=False):
+            calls.append(X.shape[0])
+            return mixture(t, X, chols, score)
+
+        mixture = msip.targets._mixture
+        monkeypatch.setattr(msip.targets, "_mixture", counted)
+        Y = np.random.default_rng(4).uniform(0.0, 7.5, size=(6, 2))
+        _, _, diag = msip_step(Y, target, p)
+        assert calls == [points]
+        assert (diag["density_evals"], diag["score_evals"]) == (points,
+                                                                points)
 
 
 class TestObjective:

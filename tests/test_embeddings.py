@@ -4,20 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msip.embeddings import (
-    ESTIMATOR_TAGS,
+    ESTIMATORS,
     InnerQuadrature,
-    build_cache,
     estimate_embeddings,
-    estimate_v0,
-    estimate_v1_gradient_free,
-    estimate_v1_hybrid,
-    estimate_v1_stein,
     mc_inner_quadrature,
     one_point_rule,
 )
-from msip.errors import EstimatorUnavailableError, NonFiniteDensityError
+from msip.errors import (
+    AnalyticUnavailableError,
+    EstimatorUnavailableError,
+    NonFiniteDensityError,
+)
 from msip.kernel import omega
 from msip.targets import (
     TargetDensity,
@@ -29,24 +31,25 @@ from msip.targets import (
 
 def constant_target(log_value, dim=1):
     """pi(x) = exp(log_value) everywhere, with zero score."""
+    def logp(x):
+        return np.full(x.shape[0], log_value)
+
     return TargetDensity(
         dim=dim,
-        base_log_density=lambda x: np.full(
-            x.shape[0] if x.ndim == 2 else (), log_value
-        ),
-        base_score=lambda x: np.zeros_like(x),
+        base_log_density=logp,
+        base_log_density_and_score=lambda x: (logp(x), np.zeros_like(x)),
         name="flat",
     )
 
 
 def std_normal_target():
+    def logp(x):
+        return -0.5 * (np.sum(x**2, axis=1) + math.log(2.0 * math.pi))
+
     return TargetDensity(
         dim=1,
-        base_log_density=lambda x: -0.5 * (
-            np.sum(np.atleast_2d(x) ** 2, axis=1)
-            + math.log(2.0 * math.pi)
-        ),
-        base_score=lambda x: -np.asarray(x, dtype=float),
+        base_log_density=logp,
+        base_log_density_and_score=lambda x: (logp(x), -x),
         name="std-normal",
     )
 
@@ -90,7 +93,7 @@ class TestOnePointExactness:
         t = constant_target(math.log(0.5))
         rule = one_point_rule(1)
         Y = np.array([[0.0], [3.0], [-1.5]])
-        v0 = estimate_v0(t, Y, 1.0, rule)
+        v0 = estimate_embeddings(t, Y, 1.0, rule, "gf").v0_hat
         np.testing.assert_allclose(
             v0, math.sqrt(2.0 * math.pi) * 0.5, rtol=1e-14
         )
@@ -99,20 +102,16 @@ class TestOnePointExactness:
         t = std_normal_target()
         rule = one_point_rule(1)
         Y = np.array([[0.5], [2.0], [-1.0]])
-        cache = build_cache(t, Y, 1.0, rule)
-        v0 = estimate_v0(t, Y, 1.0, rule, cache)
-        v1 = estimate_v1_gradient_free(t, Y, 1.0, rule, cache)
-        assert np.array_equal(v1, Y * v0[:, None])
+        est = estimate_embeddings(t, Y, 1.0, rule, "gf")
+        assert np.array_equal(est.v1_hat, Y * est.v0_hat[:, None])
 
     def test_stein_v1_vanishes_at_mean_plus_sigma_squared_score(self):
         # std normal, y = 2, sigma = 1: v1/v0 = y + sigma^2 s(y) = 0.
         t = std_normal_target()
         rule = one_point_rule(1)
         Y = np.array([[2.0]])
-        cache = build_cache(t, Y, 1.0, rule, need_score=True)
-        v0 = estimate_v0(t, Y, 1.0, rule, cache)
-        v1 = estimate_v1_stein(t, Y, 1.0, rule, cache)
-        assert abs(v1[0, 0] / v0[0]) < 1e-14
+        est = estimate_embeddings(t, Y, 1.0, rule, "stein")
+        assert abs(est.v1_hat[0, 0] / est.v0_hat[0]) < 1e-14
 
     def test_fredholm_ignores_passed_rule(self):
         t = std_normal_target()
@@ -137,10 +136,8 @@ class TestAntitheticCancellation:
             weights=np.array([0.5, 0.5]),
         )
         Y = np.array([[2.0, -4.0], [0.5, 8.0]])
-        cache = build_cache(t, Y, 0.5, rule)
-        v0 = estimate_v0(t, Y, 0.5, rule, cache)
-        v1 = estimate_v1_gradient_free(t, Y, 0.5, rule, cache)
-        assert np.array_equal(v1, Y * v0[:, None])
+        est = estimate_embeddings(t, Y, 0.5, rule, "gf")
+        assert np.array_equal(est.v1_hat, Y * est.v0_hat[:, None])
 
     def test_power_of_two_particles_reproduce_exactly(self):
         # With dyadic particle coordinates the ratio v1/v0 recovers Y
@@ -149,10 +146,8 @@ class TestAntitheticCancellation:
         rule = InnerQuadrature(nodes=np.array([[1.0], [-1.0]]),
                                weights=np.array([0.5, 0.5]))
         Y = np.array([[1.0], [2.0], [0.5], [-4.0]])
-        cache = build_cache(t, Y, 0.5, rule)
-        v0 = estimate_v0(t, Y, 0.5, rule, cache)
-        v1 = estimate_v1_gradient_free(t, Y, 0.5, rule, cache)
-        assert np.array_equal(v1 / v0[:, None], Y)
+        est = estimate_embeddings(t, Y, 0.5, rule, "gf")
+        assert np.array_equal(est.v1_hat / est.v0_hat[:, None], Y)
 
 
 class TestHybrid:
@@ -160,32 +155,31 @@ class TestHybrid:
         t = make_benchmark("gmm", 2, seed=4)
         Y = np.random.default_rng(71).uniform(0.0, 7.5, size=(6, 2))
         rule = mc_inner_quadrature(10, 2, rng_seed=72)
-        cache = build_cache(t, Y, 0.5, rule, need_score=True)
-        return t, Y, rule, cache
+        return t, Y, rule
+
+    def hybrid(self, gamma):
+        t, Y, rule = self.make_inputs()
+        return estimate_embeddings(t, Y, 0.5, rule, "hybrid", gamma=gamma)
 
     def test_endpoints_bit_exact(self):
-        t, Y, rule, cache = self.make_inputs()
-        gf = estimate_v1_gradient_free(t, Y, 0.5, rule, cache)
-        st = estimate_v1_stein(t, Y, 0.5, rule, cache)
-        assert np.array_equal(
-            estimate_v1_hybrid(0.0, t, Y, 0.5, rule, cache), gf
-        )
-        assert np.array_equal(
-            estimate_v1_hybrid(1.0, t, Y, 0.5, rule, cache), st
-        )
+        t, Y, rule = self.make_inputs()
+        gf = estimate_embeddings(t, Y, 0.5, rule, "gf")
+        st = estimate_embeddings(t, Y, 0.5, rule, "stein")
+        for gamma, end in ((0.0, gf), (1.0, st)):
+            est = self.hybrid(gamma)
+            assert np.array_equal(est.v1_hat, end.v1_hat)
+            assert np.array_equal(est.v0_hat, end.v0_hat)
 
     def test_midpoint_is_elementwise_mean(self):
-        t, Y, rule, cache = self.make_inputs()
-        gf = estimate_v1_gradient_free(t, Y, 0.5, rule, cache)
-        st = estimate_v1_stein(t, Y, 0.5, rule, cache)
-        mid = estimate_v1_hybrid(0.5, t, Y, 0.5, rule, cache)
-        assert np.array_equal(mid, 0.5 * gf + 0.5 * st)
+        t, Y, rule = self.make_inputs()
+        gf = estimate_embeddings(t, Y, 0.5, rule, "gf").v1_hat
+        st = estimate_embeddings(t, Y, 0.5, rule, "stein").v1_hat
+        assert np.array_equal(self.hybrid(0.5).v1_hat, 0.5 * gf + 0.5 * st)
 
     def test_gamma_validated(self):
-        t, Y, rule, cache = self.make_inputs()
         for gamma in (-0.1, 1.1):
             with pytest.raises(ValueError, match="gamma"):
-                estimate_v1_hybrid(gamma, t, Y, 0.5, rule, cache)
+                self.hybrid(gamma)
 
 
 class TestMonteCarloConsistency:
@@ -194,7 +188,7 @@ class TestMonteCarloConsistency:
         Y = np.random.default_rng(73).uniform(0.0, 7.5, size=(4, 2))
         sigma = 0.5
         rule = mc_inner_quadrature(200_000, 2, rng_seed=74)
-        v0_hat = estimate_v0(target, Y, sigma, rule)
+        v0_hat = estimate_embeddings(target, Y, sigma, rule, "gf").v0_hat
         v0 = gmm_v0(target.analytic, Y, sigma)
         np.testing.assert_allclose(v0_hat, v0, rtol=0.05)
 
@@ -247,6 +241,7 @@ class TestCountersAndErrors:
             "stein": (63, 63),
             "fredholm": (7, 7),
             "hybrid": (63, 63),
+            "analytic": (0, 0),
         }
         for name, (de, se) in cases.items():
             est = estimate_embeddings(target, Y, 0.5, rule, name,
@@ -266,7 +261,8 @@ class TestCountersAndErrors:
         with pytest.raises(ValueError, match="unknown estimator"):
             estimate_embeddings(target, np.zeros((1, 2)), 0.5,
                                 one_point_rule(2), "magic")
-        assert set(ESTIMATOR_TAGS) == {"fredholm", "stein", "gf", "hybrid"}
+        assert set(ESTIMATORS) == {"fredholm", "stein", "gf", "hybrid",
+                                   "analytic"}
 
     def test_score_free_target_rejects_stein(self):
         t = TargetDensity(
@@ -288,7 +284,7 @@ class TestCountersAndErrors:
         t = TargetDensity(dim=1, base_log_density=logp)
         Y = np.array([[1.0], [-1.0], [2.0], [-3.0]])
         with pytest.raises(NonFiniteDensityError) as info:
-            build_cache(t, Y, 1.0, one_point_rule(1))
+            estimate_embeddings(t, Y, 1.0, one_point_rule(1), "gf")
         assert info.value.particles == [1, 3]
         assert "particle(s) [1, 3]" in str(info.value)
 
@@ -304,5 +300,77 @@ class TestCountersAndErrors:
         Y = np.array([[0.0], [10.0]])
         rule = InnerQuadrature(nodes=np.array([[0.0], [1.0]]),
                                weights=np.array([0.5, 0.5]))
-        v0 = estimate_v0(t, Y, 1.0, rule)
+        v0 = estimate_embeddings(t, Y, 1.0, rule, "gf").v0_hat
         assert np.all(np.isfinite(v0)) and np.all(v0 >= 0.0)
+
+
+class TestAnalytic:
+    def test_reads_scaled_mixture_embeddings(self):
+        target = make_benchmark("gmm", 2, seed=8).with_offset(1.5)
+        Y = np.random.default_rng(83).uniform(0.0, 7.5, size=(4, 2))
+        est = estimate_embeddings(target, Y, 0.5, None, "analytic")
+        t = target.analytic
+        v0 = gmm_v0(t, Y, 0.5) * math.exp(1.5)
+        assert np.array_equal(est.v0_hat, v0)
+        assert np.array_equal(
+            est.v1_hat, v0[:, None] * (Y + 0.25 * gmm_grad_log_v0(t, Y, 0.5))
+        )
+
+    def test_requires_a_mixture_target(self):
+        with pytest.raises(AnalyticUnavailableError, match="funnel"):
+            estimate_embeddings(make_benchmark("funnel", 2),
+                                np.zeros((2, 2)), 0.5, None, "analytic")
+
+
+# Each case: a target, its kernel bandwidth and a box for the particles in
+# which every log-density stays far from underflow, also shifted by -40.
+PROPERTY_TARGETS = {
+    "gmm": (make_benchmark("gmm", 2, seed=8), 0.5, (-1.0, 8.0)),
+    "gmm-3d": (make_benchmark("gmm", 3, seed=2), 0.5, (-1.0, 8.0)),
+    "funnel": (make_benchmark("funnel", 2), 0.1, (-2.0, 2.0)),
+    "himmelblau": (make_benchmark("himmelblau", 2), 0.05, (-4.0, 4.0)),
+}
+# derandomize: the same examples on every run and machine.
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=200)
+
+
+@st.composite
+def embedding_cases(draw):
+    """(target, sigma, Y, rule, estimator, gamma) for any estimator."""
+    estimator = draw(st.sampled_from(ESTIMATORS))
+    names = sorted(PROPERTY_TARGETS)
+    if estimator == "analytic":
+        names = ["gmm", "gmm-3d"]
+    t, sigma, (lo, hi) = PROPERTY_TARGETS[draw(st.sampled_from(names))]
+    m = draw(st.integers(1, 8))
+    Y = draw(hnp.arrays(float, (m, t.dim), elements=st.floats(lo, hi)))
+    rule = mc_inner_quadrature(draw(st.integers(1, 6)), t.dim,
+                               rng_seed=draw(st.integers(0, 2**32 - 1)))
+    gamma = draw(st.floats(0.0, 1.0))
+    return t, sigma, Y, rule, estimator, gamma
+
+
+class TestProperties:
+    @PROPERTY
+    @given(case=embedding_cases(), data=st.data())
+    def test_rows_follow_permutations_bit_for_bit(self, case, data):
+        t, sigma, Y, rule, estimator, gamma = case
+        perm = np.array(data.draw(st.permutations(range(len(Y)))))
+        base = estimate_embeddings(t, Y, sigma, rule, estimator, gamma)
+        moved = estimate_embeddings(t, Y[perm], sigma, rule, estimator,
+                                    gamma)
+        assert np.array_equal(moved.v0_hat, base.v0_hat[perm])
+        assert np.array_equal(moved.v1_hat, base.v1_hat[perm])
+
+    @PROPERTY
+    @given(case=embedding_cases(), c=st.floats(-40.0, 40.0))
+    def test_log_density_offset_scales_by_exp_c(self, case, c):
+        t, sigma, Y, rule, estimator, gamma = case
+        base = estimate_embeddings(t, Y, sigma, rule, estimator, gamma)
+        shifted = estimate_embeddings(t.with_offset(c), Y, sigma, rule,
+                                      estimator, gamma)
+        np.testing.assert_allclose(shifted.v0_hat,
+                                   math.exp(c) * base.v0_hat, rtol=1e-12)
+        np.testing.assert_allclose(shifted.v1_hat,
+                                   math.exp(c) * base.v1_hat, rtol=1e-12)

@@ -278,6 +278,23 @@ class TestParseValidation:
                    "algorithm": {"name": "msip-f",
                                  "params": {"bounds": [3.0]}}})
 
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("value", [3.0, True, 0, "3"])
+    def test_step_count_must_be_a_positive_integer(self, algorithm, value):
+        with pytest.raises(ConfigError, match=r"algorithm\.params\.T: "):
+            parse({"target": {"name": "gmm", "dim": 2},
+                   "algorithm": {"name": algorithm,
+                                 "params": {"T": value}}})
+
+    @pytest.mark.parametrize("algorithm",
+                             ["msip-f", "msip-gi", "msip-gf", "msip-hybrid"])
+    @pytest.mark.parametrize("value", [2.0, True, 0])
+    def test_inner_nodes_must_be_a_positive_integer(self, algorithm, value):
+        with pytest.raises(ConfigError, match=r"algorithm\.params\.Q: "):
+            parse({"target": {"name": "gmm", "dim": 2},
+                   "algorithm": {"name": algorithm,
+                                 "params": {"Q": value}}})
+
     def test_cross_section_consistency(self):
         with pytest.raises(ConfigError, match="svg requires a 2-D"):
             parse({"target": {"name": "gmm", "dim": 3},

@@ -237,6 +237,21 @@ class TestTargetDensity:
         assert not t.has_score
         with pytest.raises(EstimatorUnavailableError):
             t.score(np.zeros(1))
+        with pytest.raises(EstimatorUnavailableError):
+            t.log_density_and_score(np.zeros(1))
+
+    @pytest.mark.parametrize("name", ["gmm", "funnel", "himmelblau"])
+    def test_joint_call_matches_log_density(self, name):
+        target = make_benchmark(name, 2, seed=5).with_offset(-2.5)
+        X = np.random.default_rng(6).uniform(-2.0, 2.0, size=(7, 2))
+        logp, score = target.log_density_and_score(X)
+        assert np.array_equal(logp, target.log_density(X))
+        assert score.shape == (7, 2)
+        row_logp, row_score = target.log_density_and_score(X[3:4])
+        one_logp, one_score = target.log_density_and_score(X[3])
+        assert one_logp == row_logp[0]
+        assert np.array_equal(one_score, row_score[0])
+        assert target.log_density(X[3]) == row_logp[0]
 
 
 class TestBenchmarks:
