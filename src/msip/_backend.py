@@ -3,12 +3,15 @@
 Plain numpy, deterministic run to run. Two properties are weaker than
 exact arithmetic would give:
 
-- distances are formed in the expanded form through BLAS. They are
-  exactly symmetric with a zero diagonal, but not bitwise
+- the distance matrices are formed in the expanded form through BLAS.
+  They are exactly symmetric with a zero diagonal, but not bitwise
   permutation-equivariant: BLAS may round a pair's inner product
   differently depending on where the pair sits in the matrix.
-- the SE self row-sums drop far-apart pairs, within a stated 1e-12
-  relative bound.
+- the SE row sums against a reference sample X of N points drop
+  far-apart pairs; they use direct-difference distances. A ``SeTiles``
+  sorts and tiles X once, and both sums share it. Each self row-sum is
+  within 1e-12 relative of the exact sum. Each cross row-sum
+  sum_i w_i k(x_n, y_i) is within (1e-12/N) sum_i |w_i| of it.
 """
 
 import math
@@ -18,6 +21,7 @@ import numpy as np
 __all__ = [
     "sym_sq_dists",
     "cross_sq_dists",
+    "SeTiles",
     "se_cross_rowsums",
     "se_self_rowsums",
     "imq_stein_gram",
@@ -37,9 +41,8 @@ def sym_sq_dists(Y):
     sq = np.einsum("ij,ij->i", Y, Y)
     D = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
     np.maximum(D, 0.0, out=D)
-    iu = np.triu_indices(D.shape[0], 1)
-    D[(iu[1], iu[0])] = D[iu]
-    np.fill_diagonal(D, 0.0)
+    D = np.triu(D, 1)
+    D += D.T
     return D
 
 
@@ -52,45 +55,86 @@ def cross_sq_dists(A, B):
     return D
 
 
-def se_cross_rowsums(X, Y, w, inv_two_sigma2):
-    """Per-row sums sum_i w_i * exp(-||x_n - y_i||^2 * inv_two_sigma2)."""
-    out = np.empty(X.shape[0])
-    step = max(1, int(4e6) // max(Y.shape[0], 1))
-    for lo in range(0, X.shape[0], step):
-        hi = min(lo + step, X.shape[0])
-        D = cross_sq_dists(X[lo:hi], Y)
-        out[lo:hi] = np.exp(-inv_two_sigma2 * D) @ w
-    return out
-
-
-# Relative error bound of the self row-sums: each row drops terms that add
-# up to less than this, and every row sum is at least its diagonal term 1.
-_SELF_SUM_RTOL = 1e-12
-# Rows per tile of the self row-sum.
+# Cutoff of the SE row sums over N points: the cutoff r puts N kernel
+# values at distance r at this total, N exp(-r^2 inv_two_sigma2) = 1e-12.
+_SUM_RTOL = 1e-12
+# Rows per tile.
 _TILE = 256
+# Lowest exponent of the cross sums. numpy's exp takes about 20 times
+# longer when its result underflows to 0 and over 100 times longer when it
+# is subnormal; exp(-700) ~ 1e-304 is still a normal double. Raising
+# smaller exponents to it adds at most 1e-304 |w_i| per term; exact zeros
+# come only from skipped tiles.
+_LOWEST_EXPONENT = -700.0
 
 
-def se_self_rowsums(X, inv_two_sigma2):
-    """Row sums of the full SE kernel matrix of X (diagonal included).
+class SeTiles:
+    """A point set X cut into spatially sorted tiles for the SE row sums.
 
-    Each row is within 1e-12 relative of the exact sum. The points are
-    sorted by grid cells of side r/4 and cut into tiles of 256 rows. Each
-    unordered pair of tiles is visited once, with direct-difference
-    distances sum_a (x_ia - x_ja)^2, and adds its kernel block to the rows
-    of both tiles. A pair whose bounding boxes lie farther apart than r is
-    skipped, where N exp(-r^2 inv_two_sigma2) = 1e-12: the terms a row
-    loses add up to less than 1e-12, and every row sum is at least 1.
-    The sums come back in the input order.
+    The points are sorted by grid cells of side r/4 and cut into tiles of
+    256 rows, each with its bounding box. r is the cutoff of both sums,
+    with N exp(-r^2 inv_two_sigma2) = 1e-12: a point farther than r from
+    another contributes less than 1e-12/N to its sum.
     """
-    n = X.shape[0]
-    r2 = math.log(n / _SELF_SUM_RTOL) / inv_two_sigma2
-    cells = np.floor((X - X.min(axis=0)) / (0.25 * math.sqrt(r2)))
-    order = np.lexsort(cells.T[::-1])
-    Xs = np.ascontiguousarray(X[order].T)  # d x n, sorted
-    starts = np.arange(0, n, _TILE)
-    lo = np.minimum.reduceat(Xs, starts, axis=1)
-    hi = np.maximum.reduceat(Xs, starts, axis=1)
-    sums = np.zeros(n)
+
+    def __init__(self, X, inv_two_sigma2):
+        n = X.shape[0]
+        self.inv_two_sigma2 = inv_two_sigma2
+        self.r2 = math.log(n / _SUM_RTOL) / inv_two_sigma2
+        cells = np.floor((X - X.min(axis=0)) / (0.25 * math.sqrt(self.r2)))
+        self.order = np.lexsort(cells.T[::-1])
+        self.Xs = np.ascontiguousarray(X[self.order].T)  # d x n, sorted
+        self.starts = np.arange(0, n, _TILE)
+        self.lo = np.minimum.reduceat(self.Xs, self.starts, axis=1)
+        self.hi = np.maximum.reduceat(self.Xs, self.starts, axis=1)
+
+    def unsort(self, sums):
+        """Sums over the sorted rows, back in the input order of X."""
+        out = np.empty_like(sums)
+        out[self.order] = sums
+        return out
+
+
+def se_cross_rowsums(tiles, Y, w):
+    """Per-row sums sum_i w_i exp(-||x_n - y_i||^2 inv_two_sigma2).
+
+    x_n runs over the tiled points, in their input order. A (tile,
+    particle) pair whose bounding box lies farther than r from the
+    particle is skipped, so each sum is within (1e-12/N) sum_i |w_i| of
+    the exact one. The kept pairs use direct-difference distances.
+    """
+    Xs, inv = tiles.Xs, tiles.inv_two_sigma2
+    Yt = np.ascontiguousarray(Y.T)
+    gap = np.maximum(tiles.lo[:, :, None] - Yt[:, None, :],
+                     Yt[:, None, :] - tiles.hi[:, :, None])
+    np.maximum(gap, 0.0, out=gap)
+    # ~(gap2 > r2) keeps NaN particles, so they still poison every sum
+    near = ~(np.einsum("aij,aij->ij", gap, gap) > tiles.r2)
+    sums = np.zeros(Xs.shape[1])
+    buf = np.empty((2, Y.shape[0], _TILE))
+    for i, a in enumerate(tiles.starts):
+        keep = np.flatnonzero(near[i])
+        if keep.size:
+            K = _se_tile(Yt[:, keep], Xs[:, a:a + _TILE], inv, buf,
+                         _LOWEST_EXPONENT)
+            sums[a:a + _TILE] = w[keep] @ K
+    return tiles.unsort(sums)
+
+
+def se_self_rowsums(tiles):
+    """Row sums of the full SE kernel matrix of the tiled points.
+
+    Each row is within 1e-12 relative of the exact sum. Each unordered
+    pair of tiles is visited once, with direct-difference distances
+    sum_a (x_ia - x_ja)^2, and adds its kernel block to the rows of both
+    tiles. A pair whose bounding boxes lie farther apart than r is
+    skipped: the terms a row loses add up to less than 1e-12, and every
+    row sum is at least its diagonal term 1. The sums come back in the
+    input order.
+    """
+    Xs, starts, lo, hi = tiles.Xs, tiles.starts, tiles.lo, tiles.hi
+    inv = tiles.inv_two_sigma2
+    sums = np.zeros(Xs.shape[1])
     buf = np.empty((2, _TILE, _TILE))
     ones = np.ones(_TILE)
     for i, a in enumerate(starts):
@@ -100,23 +144,22 @@ def se_self_rowsums(X, inv_two_sigma2):
         np.maximum(gap, 0.0, out=gap)
         gap2 = np.einsum("ij,ij->j", gap, gap)
         # ~(gap2 > r2) keeps NaN boxes, so a NaN point still poisons its sums
-        for j in i + np.flatnonzero(~(gap2 > r2)):
+        for j in i + np.flatnonzero(~(gap2 > tiles.r2)):
             b = starts[j]
-            K = _se_tile(A, Xs[:, b:b + _TILE], inv_two_sigma2, buf)
+            K = _se_tile(A, Xs[:, b:b + _TILE], inv, buf)
             sums[a:a + _TILE] += K @ ones[:K.shape[1]]
             if j != i:
                 sums[b:b + _TILE] += ones[:K.shape[0]] @ K
-    out = np.empty(n)
-    out[order] = sums
-    return out
+    return tiles.unsort(sums)
 
 
-def _se_tile(A, B, inv_two_sigma2, buf):
+def _se_tile(A, B, inv_two_sigma2, buf, lowest=None):
     """exp(-inv_two_sigma2 * sum_a (A[a,i] - B[a,j])^2) into a view of buf.
 
     A and B hold one coordinate per row. The distances are exactly
     symmetric with an exactly zero diagonal, so a tile against itself has
-    ones on its diagonal.
+    ones on its diagonal. With ``lowest``, exponents below it are raised
+    to it first.
     """
     K = buf[0, :A.shape[1], :B.shape[1]]
     t = buf[1, :A.shape[1], :B.shape[1]]
@@ -127,6 +170,8 @@ def _se_tile(A, B, inv_two_sigma2, buf):
         np.multiply(t, t, out=t)
         np.add(K, t, out=K)
     np.multiply(K, -inv_two_sigma2, out=K)
+    if lowest is not None:
+        np.maximum(K, lowest, out=K)
     return np.exp(K, out=K)
 
 

@@ -410,6 +410,11 @@ class _TrialRecorder:
         except NonNormalizableError:
             wn = None
         vals = {"mmd2": None, "ksd": None, "loglik": None}
+        # One target evaluation at Y serves both ksd and loglik.
+        if wn is not None and "ksd" in requested:
+            logp, S = self.target.log_density_and_score(Y)
+        elif wn is not None and "loglik" in requested:
+            logp = self.target.log_density(Y)
         if "mmd2" in requested:
             if wn is None:
                 vals["mmd2"] = float("nan")
@@ -423,14 +428,13 @@ class _TrialRecorder:
             vals["ksd"] = float("nan")
             if wn is not None:
                 try:
-                    vals["ksd"] = ksd(Y, wn, self.target.score,
-                                      self.ksd_params)
+                    vals["ksd"] = ksd(Y, wn, S, self.ksd_params)
                 except ValueError:  # the score is not finite at some y_i
                     pass
         if "loglik" in requested:
             vals["loglik"] = (
-                weighted_loglik(Y, wn, self.target)
-                if wn is not None else float("nan")
+                weighted_loglik(wn, logp) if wn is not None
+                else float("nan")
             )
         self.rows.append({
             "iteration": iteration,
@@ -589,19 +593,20 @@ def _stats(values):
 def summarize(cfg, results):
     """Aggregate final-iteration metrics over surviving trials.
 
-    p05/p95 are empirical quantiles (not parametric confidence bounds).
+    The statistics of a metric cover its finite finals; ``non_finite``
+    counts, per requested metric, the surviving trials whose final value
+    is NaN or infinite. p05/p95 are empirical quantiles (not parametric
+    confidence bounds).
     """
     survived = [r for r in results if r.status != "diverged"]
     per_metric = {}
+    non_finite = {}
     for m in ("mmd2", "ksd", "loglik"):
         if m not in cfg.metrics["list"]:
             continue
-        finals = [
-            r.report.rows[-1][m]
-            for r in survived
-            if r.report.rows and r.report.rows[-1][m] is not None
-            and math.isfinite(r.report.rows[-1][m])
-        ]
+        values = [r.report.rows[-1][m] for r in survived if r.report.rows]
+        finals = [v for v in values if math.isfinite(v)]
+        non_finite[m] = len(values) - len(finals)
         if finals:
             per_metric[m] = _stats(finals)
     summary = {
@@ -609,6 +614,7 @@ def summarize(cfg, results):
         "n_trials": len(results),
         "n_survived": len(survived),
         "metrics": per_metric,
+        "non_finite": non_finite,
         "coverage": None,
         "trials": [],
     }
@@ -644,6 +650,26 @@ def summarize(cfg, results):
     return summary
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _dump_json(obj, path):
+    """Strict JSON: non-finite floats are written as null."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
+    return path
+
+
 def write_outputs(cfg, results, out_dir=None):
     """Write the configured output files; returns {kind: path}."""
     outdir = Path(out_dir if out_dir is not None else
@@ -654,13 +680,8 @@ def write_outputs(cfg, results, out_dir=None):
     if "csv" in formats:
         paths["csv"] = emit_csv(results, outdir / "metrics.csv")
     if "json" in formats:
-        summary = summarize(cfg, results)
-        spath = outdir / "summary.json"
-        with open(spath, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths["summary"] = spath
-        fpath = outdir / "final_particles.json"
+        paths["summary"] = _dump_json(summarize(cfg, results),
+                                      outdir / "summary.json")
         payload = [
             {
                 "trial": r.trial,
@@ -671,10 +692,8 @@ def write_outputs(cfg, results, out_dir=None):
             }
             for r in results
         ]
-        with open(fpath, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths["final_particles"] = fpath
+        paths["final_particles"] = _dump_json(
+            payload, outdir / "final_particles.json")
     if "svg" in formats and cfg.target["dim"] == 2:
         target = make_benchmark(
             cfg.target["name"], cfg.target["dim"], cfg.target["seed"]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._backend import (
+    SeTiles,
     cross_sq_dists,
     imq_stein_gram,
     se_cross_rowsums,
@@ -99,20 +100,21 @@ class SampleMmd:
 
     mean_n a_n - 2 mean_n b_n + w' K w, where a_n = (1/N) sum_m k(x_n, x_m)
     is the mean kernel value of x_n against the sample and
-    b_n = sum_i w_i k(x_n, y_i). The a_n cost O(N^2) and are computed once,
-    here; each evaluation costs O(N M).
+    b_n = sum_i w_i k(x_n, y_i). X is sorted and tiled once, here, and
+    the a_n, which cost O(N^2), are computed once from the tiles; each
+    evaluation sums each particle over the tiles within the cutoff.
     """
 
     def __init__(self, X, sigma):
-        self.X = np.asarray(X, dtype=float)
+        X = np.asarray(X, dtype=float)
         self.sigma = sigma
-        self._inv = 1.0 / (2.0 * sigma**2)
-        self._a = se_self_rowsums(self.X, self._inv) / self.X.shape[0]
+        self._tiles = SeTiles(X, 1.0 / (2.0 * sigma**2))
+        self._a = se_self_rowsums(self._tiles) / X.shape[0]
 
     def _evaluate(self, Y, w):
         Y = np.asarray(Y, dtype=float)
         w = np.asarray(w, dtype=float)
-        b = se_cross_rowsums(self.X, Y, w, self._inv)
+        b = se_cross_rowsums(self._tiles, Y, w)
         val = float(self._a.mean()) - 2.0 * float(b.mean()) \
             + float(w @ se_matrix(Y, self.sigma) @ w)
         return max(val, 0.0), b
@@ -138,15 +140,16 @@ class SampleMmd:
         return mmd2, float(reps.std(ddof=1))
 
 
-def ksd2(Y, w, score, p):
+def ksd2(Y, w, S, p):
     """Quadratic form sum_ij w_i w_j k0(y_i, y_j) of the IMQ Stein kernel.
 
-    Weights are normalized to unit sum first, so the value is invariant to
-    positive rescaling of the raw weight vector.
+    S holds the target's score at each row of Y. Weights are normalized
+    to unit sum first, so the value is invariant to positive rescaling of
+    the raw weight vector.
     """
     Y = np.asarray(Y, dtype=float)
     w = normalize_weights(w)
-    S = np.asarray(score(Y), dtype=float)
+    S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
         rows = np.unique(np.nonzero(~np.isfinite(S))[0]).tolist()
         raise ValueError(f"non-finite score for particle(s) {rows}")
@@ -154,20 +157,20 @@ def ksd2(Y, w, score, p):
     return float(w @ K0 @ w)
 
 
-def ksd(Y, w, score, p):
+def ksd(Y, w, S, p):
     """scale * sqrt(max(ksd2, 0)): the reported Stein discrepancy."""
-    return p.scale * math.sqrt(max(ksd2(Y, w, score, p), 0.0))
+    return p.scale * math.sqrt(max(ksd2(Y, w, S, p), 0.0))
 
 
-def weighted_loglik(Y, w, t):
-    """-sum_k w_k log pidensity(y_k) for normalized weights w.
+def weighted_loglik(w, logp):
+    """-sum_k w_k log pi(y_k) for normalized weights w.
 
-    A -inf log-density at a positively weighted particle yields +inf
-    (reported as such); zero-weight particles never contribute.
+    logp holds the target's log-density at each particle. A -inf
+    log-density at a positively weighted particle yields +inf (reported as
+    such); zero-weight particles never contribute.
     """
-    Y = np.asarray(Y, dtype=float)
     w = np.asarray(w, dtype=float)
-    logp = t.log_density(Y)
+    logp = np.asarray(logp, dtype=float)
     mask = w != 0.0
     return -float(w[mask] @ logp[mask]) if mask.any() else 0.0
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import msip._backend
 from msip._backend import (
+    SeTiles,
     cross_sq_dists,
     imq_stein_gram,
     se_cross_rowsums,
@@ -45,7 +47,7 @@ class TestNumpyImplementations:
         )
 
     def test_se_self_rowsums_single_point_is_one(self):
-        assert se_self_rowsums(np.zeros((1, 3)), 0.5)[0] == 1.0
+        assert se_self_rowsums(SeTiles(np.zeros((1, 3)), 0.5))[0] == 1.0
 
     def test_se_rowsums_match_brute_force(self):
         rng = np.random.default_rng(164)
@@ -53,26 +55,28 @@ class TestNumpyImplementations:
         Y = rng.standard_normal((6, 2))
         w = rng.uniform(-1.0, 1.0, size=6)
         inv = 1.0 / (2.0 * 0.7**2)
+        tiles = SeTiles(X, inv)
         Kc = np.exp(-inv * brute_sq_dists(X, Y))
         np.testing.assert_allclose(
-            se_cross_rowsums(X, Y, w, inv), Kc @ w, rtol=1e-12, atol=1e-14
+            se_cross_rowsums(tiles, Y, w), Kc @ w, rtol=1e-12, atol=1e-14
         )
         Ks = np.exp(-inv * brute_sq_dists(X, X))
         np.testing.assert_allclose(
-            se_self_rowsums(X, inv), Ks.sum(axis=1), rtol=1e-12
+            se_self_rowsums(tiles), Ks.sum(axis=1), rtol=1e-12
         )
 
     def test_se_rowsums_blocked_path(self):
-        # Force the row sums past one block: two chunks of the cross sums,
-        # and twelve 256-row tiles (so off-diagonal tile pairs) of the
-        # self sums.
+        # Force the row sums past one tile: twelve 256-row tiles, so the
+        # cross sums visit many tiles and the self sums off-diagonal tile
+        # pairs.
         rng = np.random.default_rng(165)
         X = rng.standard_normal((3000, 2))
         Y = rng.standard_normal((2000, 2))
         w = rng.uniform(0.0, 1.0, size=2000)
         inv = 0.5
-        cross = se_cross_rowsums(X, Y, w, inv)
-        self_sums = se_self_rowsums(X, inv)
+        tiles = SeTiles(X, inv)
+        cross = se_cross_rowsums(tiles, Y, w)
+        self_sums = se_self_rowsums(tiles)
         expected_first = np.exp(-inv * np.sum((X[0] - Y) ** 2, axis=1)) @ w
         assert cross[0] == pytest.approx(expected_first, rel=1e-12)
         assert self_sums.shape == (3000,)
@@ -86,14 +90,67 @@ class TestNumpyImplementations:
         X = reference_samples(make_benchmark("gmm", 2, seed=0), 5000, [0, 1])
         inv = 1.0 / (2.0 * 0.5**2)
         perm = np.random.default_rng(169).permutation(5000)
-        sums = se_self_rowsums(X, inv)
-        permuted = se_self_rowsums(X[perm], inv)
+        sums = se_self_rowsums(SeTiles(X, inv))
+        permuted = se_self_rowsums(SeTiles(X[perm], inv))
         direct = np.array([
             np.exp(-inv * np.sum((x - X) ** 2, axis=1)).sum() for x in X
         ])
         np.testing.assert_allclose(sums, direct, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(permuted, direct[perm], rtol=1e-12,
                                    atol=0.0)
+
+    def test_se_cross_rowsums_skip_far_tiles_within_bound(self, monkeypatch):
+        # Funnel reference sample; some particles sit in its bulk, others in
+        # the narrow neck or far out to the side, so that whole tiles lie
+        # beyond the cutoff r of them. Every row must stay within
+        # (1e-12/N) sum |w| of the direct-difference dense sum (plus the
+        # rounding of the sums themselves), in the input order of X.
+        N = 3000
+        X = reference_samples(make_benchmark("funnel", 2), N, [7, 3])
+        rng = np.random.default_rng(170)
+        Y = np.vstack([
+            rng.standard_normal((6, 2)),
+            [[-8.0, 0.0], [-7.0, 0.01], [0.0, 40.0], [2.0, -35.0]],
+        ])
+        w = rng.uniform(-1.0, 1.0, size=Y.shape[0])
+        inv = 1.0 / (2.0 * 0.5**2)
+        columns = []
+        se_tile = msip._backend._se_tile
+
+        def counted(A, B, *args):
+            columns.append(A.shape[1])
+            return se_tile(A, B, *args)
+
+        monkeypatch.setattr(msip._backend, "_se_tile", counted)
+        tiles = SeTiles(X, inv)
+        sums = se_cross_rowsums(tiles, Y, w)
+        assert sum(columns) < len(tiles.starts) * Y.shape[0]
+        K = np.exp(-inv * np.sum((X[:, None, :] - Y[None, :, :]) ** 2,
+                                 axis=2))
+        direct = K @ w
+        bound = 1e-12 / N * np.abs(w).sum()
+        rounding = 1e-14 * (K @ np.abs(w))
+        assert np.all(np.abs(sums - direct) <= bound + rounding)
+        perm = rng.permutation(N)
+        permuted = se_cross_rowsums(SeTiles(X[perm], inv), Y, w)
+        assert np.all(np.abs(permuted - direct[perm])
+                      <= bound + rounding[perm])
+
+    def test_se_cross_rowsums_nan_and_far_particles(self):
+        X = reference_samples(make_benchmark("funnel", 2), 2000, [7, 3])
+        tiles = SeTiles(X, 2.0)
+        Y = np.array([[0.0, 0.0], [1.0, -0.5], [0.5, 0.2]])
+        w = np.array([0.5, 0.3, 0.2])
+        # A NaN particle poisons every row, as a dense sum does.
+        Y_nan = Y.copy()
+        Y_nan[1, 0] = np.nan
+        assert np.all(np.isnan(se_cross_rowsums(tiles, Y_nan, w)))
+        # Particles beyond r of every tile contribute exact zeros.
+        far = X.max(axis=0) + 2.0 * np.sqrt(tiles.r2)
+        assert np.all(se_cross_rowsums(tiles, Y + far, w) == 0.0)
+        with_far = se_cross_rowsums(tiles, np.vstack([Y, far]),
+                                    np.append(w, 0.7))
+        assert np.array_equal(with_far, se_cross_rowsums(tiles, Y, w))
 
     def test_imq_stein_diagonal_closed_form(self):
         # k0(y, y) = |s(y)|^2 - 2 d beta / ell2, positive for beta < 0.

@@ -1,6 +1,7 @@
 """Config parsing, trial execution, aggregation, and file emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from msip.errors import ConfigError, UnsupportedDimensionError
 from msip.harness import (
     ALGORITHM_NAMES,
     CSV_HEADER,
+    _TrialRecorder,
     build_params,
     emit_csv,
     emit_scatter_svg,
@@ -27,7 +29,13 @@ from msip.harness import (
     summarize,
     write_outputs,
 )
-from msip.metrics import SampleMmd, normalize_weights
+from msip.metrics import (
+    KsdParams,
+    SampleMmd,
+    ksd,
+    normalize_weights,
+    weighted_loglik,
+)
 from msip.targets import TargetDensity, make_benchmark, reference_samples
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -491,6 +499,38 @@ class TestRunExperiment:
         final = result.final
         assert rows[-1]["mmd2"] == mmd(final.Y, normalize_weights(final.w))
 
+    def test_metric_row_evaluates_target_once(self):
+        # ksd and loglik share one log_density_and_score call at Y.
+        cfg = small_config(metrics={"list": ["mmd2", "ksd", "loglik"],
+                                    "every_n_iters": 5})
+        target = make_benchmark("gmm", 2, cfg.target["seed"])
+        calls = []
+
+        def counted(fn):
+            def wrapped(X):
+                calls.append(X.shape[0])
+                return fn(X)
+            return wrapped
+
+        counted_target = dataclasses.replace(
+            target,
+            base_log_density=counted(target.base_log_density),
+            base_log_density_and_score=counted(
+                target.base_log_density_and_score),
+        )
+        rec = _TrialRecorder(cfg, counted_target,
+                             KsdParams(cfg.metrics["ksd_bandwidth"]), None,
+                             t0=0.0)
+        Y = reference_samples(target, 5, seed=3)
+        rec.record(0, Y, np.full(5, 0.2))
+        assert calls == [5]
+        row = rec.rows[0]
+        S = target.score(Y)
+        assert row["ksd"] == ksd(Y, np.full(5, 0.2), S,
+                                 KsdParams(cfg.metrics["ksd_bandwidth"]))
+        assert row["loglik"] == weighted_loglik(np.full(5, 0.2),
+                                                target.log_density(Y))
+
     def test_non_finite_score_records_nan_ksd(self):
         # CBS throws funnel particles so far out that the score overflows
         # at some rows; those rows report ksd as NaN and the run goes on.
@@ -693,6 +733,33 @@ class TestWriteOutputs:
         Y = np.asarray(finals[0]["Y"])
         assert Y.shape == (5, 2)
         np.testing.assert_array_equal(Y, results[0].final.Y)
+
+    def test_non_finite_finals_counted_and_written_as_null(self, tmp_path):
+        # CBS throws funnel particles so far out that the final ksd is NaN
+        # and the final loglik +inf; the files must stay strict JSON.
+        cfg = small_config(
+            target={"name": "funnel", "dim": 2},
+            algorithm={"name": "cbs", "params": {"T": 50}},
+            trials={"count": 1, "base_seed": 0},
+            output={"directory": str(tmp_path), "formats": ["json"]},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_experiment(cfg)
+        last = results[0].report.rows[-1]
+        assert math.isnan(last["ksd"]) and last["loglik"] == math.inf
+        paths = write_outputs(cfg, results)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads(Path(paths["summary"]).read_text(),
+                             parse_constant=reject)
+        json.loads(Path(paths["final_particles"]).read_text(),
+                   parse_constant=reject)
+        assert summary["non_finite"] == {"mmd2": 0, "ksd": 1, "loglik": 1}
+        assert set(summary["metrics"]) == {"mmd2"}
+        finals = summary["trials"][0]["finals"]
+        assert finals["ksd"] is None and finals["loglik"] is None
 
     def test_out_dir_override(self, tmp_path):
         cfg = small_config(output={"directory": str(tmp_path / "a"),

@@ -191,8 +191,8 @@ class TestKsd:
             wn[i] * wn[j] * k0(Y[i], S[i], Y[j], S[j])
             for i in range(6) for j in range(6)
         )
-        assert ksd2(Y, w, target.score, p) == pytest.approx(brute,
-                                                            rel=1e-10)
+        assert ksd2(Y, w, target.score(Y), p) == pytest.approx(brute,
+                                                               rel=1e-10)
 
     def test_nonnegative_for_signed_weights(self):
         target = make_benchmark("gmm", 2, seed=14)
@@ -203,7 +203,7 @@ class TestKsd:
             # keep the sum well away from zero so normalization does not
             # amplify round-off in the quadratic form
             w = rng.standard_normal(8) + 1.0
-            assert ksd2(Y, w, target.score, p) >= -1e-10
+            assert ksd2(Y, w, target.score(Y), p) >= -1e-10
 
     def test_invariant_to_positive_weight_rescaling(self):
         target = make_benchmark("gmm", 2, seed=14)
@@ -211,20 +211,21 @@ class TestKsd:
         Y = rng.uniform(0.0, 7.5, size=(7, 2))
         w = rng.uniform(0.1, 1.0, size=7)
         p = KsdParams(bandwidth=0.5)
-        assert ksd2(Y, 13.0 * w, target.score, p) == pytest.approx(
-            ksd2(Y, w, target.score, p), rel=1e-12
+        assert ksd2(Y, 13.0 * w, target.score(Y), p) == pytest.approx(
+            ksd2(Y, w, target.score(Y), p), rel=1e-12
         )
 
     def test_scale_multiplies_reported_value(self):
         target = make_benchmark("gmm", 2, seed=14)
         Y = reference_samples(target, 6, seed=20)
         w = np.full(6, 1.0 / 6)
-        base = ksd(Y, w, target.score, KsdParams(bandwidth=0.5))
-        scaled = ksd(Y, w, target.score,
+        base = ksd(Y, w, target.score(Y), KsdParams(bandwidth=0.5))
+        scaled = ksd(Y, w, target.score(Y),
                      KsdParams(bandwidth=0.5, scale=2.5))
         assert scaled == pytest.approx(2.5 * base, rel=1e-14)
         assert base == pytest.approx(
-            math.sqrt(ksd2(Y, w, target.score, KsdParams(bandwidth=0.5))),
+            math.sqrt(ksd2(Y, w, target.score(Y),
+                           KsdParams(bandwidth=0.5))),
             rel=1e-14,
         )
 
@@ -235,8 +236,8 @@ class TestKsd:
         far = np.full((60, 2), 15.0) \
             + 0.1 * np.random.default_rng(150).standard_normal((60, 2))
         w = np.full(60, 1.0 / 60)
-        assert ksd2(close, w, target.score, p) \
-            < ksd2(far, w, target.score, p)
+        assert ksd2(close, w, target.score(close), p) \
+            < ksd2(far, w, target.score(far), p)
 
     def test_non_finite_score_names_particles(self):
         target = make_benchmark("funnel", 2)
@@ -244,7 +245,7 @@ class TestKsd:
         # exp(800) overflows inside the funnel score
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"particle\(s\) \[1\]"):
-                ksd2(Y, np.array([0.5, 0.5]), target.score,
+                ksd2(Y, np.array([0.5, 0.5]), target.score(Y),
                      KsdParams(bandwidth=0.5))
 
     def test_params_validated(self):
@@ -267,7 +268,7 @@ class TestWeightedLoglik:
         Y = np.array([[0.0], [1.0]])
         logp = target.log_density(Y)
         w = np.array([0.5, 0.5])
-        assert weighted_loglik(Y, w, target) == pytest.approx(
+        assert weighted_loglik(w, target.log_density(Y)) == pytest.approx(
             -float(logp.mean()), rel=1e-14
         )
 
@@ -275,7 +276,8 @@ class TestWeightedLoglik:
         # Both particles at log-density -1 with weights (1/2, 1/2): 1.0.
         target = make_benchmark("himmelblau", 2).with_offset(-1.0)
         Y = np.array([[3.0, 2.0], [3.0, 2.0]])  # log pi = -1 at the optimum
-        assert weighted_loglik(Y, np.array([0.5, 0.5]), target) == 1.0
+        logp = target.log_density(Y)
+        assert weighted_loglik(np.array([0.5, 0.5]), logp) == 1.0
 
     def test_zero_weight_particles_never_contribute(self):
         def logp(x):
@@ -285,16 +287,17 @@ class TestWeightedLoglik:
 
         target = TargetDensity(dim=1, base_log_density=logp)
         Y = np.array([[0.0], [5.0]])  # log pi = 0 and -inf
-        assert weighted_loglik(Y, np.array([1.0, 0.0]), target) == 0.0
-        assert weighted_loglik(Y, np.array([0.5, 0.5]), target) == np.inf
-        assert weighted_loglik(Y, np.zeros(2), target) == 0.0
+        lp = target.log_density(Y)
+        assert weighted_loglik(np.array([1.0, 0.0]), lp) == 0.0
+        assert weighted_loglik(np.array([0.5, 0.5]), lp) == np.inf
+        assert weighted_loglik(np.zeros(2), lp) == 0.0
 
     def test_offset_shifts_by_total_weight(self):
         target = make_benchmark("gmm", 2, seed=14)
         Y = reference_samples(target, 6, seed=22)
         w = np.random.default_rng(151).uniform(0.0, 1.0, size=6)
-        base = weighted_loglik(Y, w, target)
-        shifted = weighted_loglik(Y, w, target.with_offset(3.0))
+        base = weighted_loglik(w, target.log_density(Y))
+        shifted = weighted_loglik(w, target.with_offset(3.0).log_density(Y))
         assert shifted == pytest.approx(base - 3.0 * w.sum(), rel=1e-12)
 
 
