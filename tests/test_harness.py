@@ -66,6 +66,14 @@ GOLDEN_CASES = {
                  "algorithm": {"name": "svgd", "params": {"T": 30}}},
     "cbs-gmm": {**GOLDEN_DOC,
                 "algorithm": {"name": "cbs", "params": {"T": 30}}},
+    # Trial 0 diverges at step 6, a recording iteration, trial 1 at
+    # step 7, which is not one; both end on row 6 with status diverged.
+    "svgd-himmelblau-diverged": {
+        **GOLDEN_DOC,
+        "target": {"name": "himmelblau", "dim": 2},
+        "algorithm": {"name": "svgd", "params": {"eta": 0.5, "T": 30}},
+        "metrics": {"every_n_iters": 3},
+    },
 }
 
 
