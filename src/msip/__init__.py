@@ -21,7 +21,7 @@ from .dynamics import (
     WEIGHT_FLOOR,
     MsipParams,
     ParticleConfiguration,
-    Trajectory,
+    iterate,
     msip_map,
     msip_step,
     objective,
@@ -62,7 +62,6 @@ from .harness import (
 )
 from .kernel import GramMatrix, KernelSpec, gram, log_omega, omega, se_kernel
 from .metrics import (
-    KsdParams,
     MetricsReport,
     SampleMmd,
     ksd,

@@ -2,8 +2,9 @@
 
 Both produce uniformly weighted particle sets and are invariant to the
 target's normalization constant (SVGD sees only the score, CBS only
-log-density differences). They share the harness and metrics with the
-MSIP quadrature construction.
+log-density differences). Each runner passes its step to
+``dynamics.iterate``, the one run loop it shares with MSIP, and they share
+the harness and metrics with the MSIP quadrature construction.
 """
 
 import math
@@ -13,11 +14,14 @@ import numpy as np
 from scipy.special import softmax
 
 from ._backend import sym_sq_dists
-from .dynamics import ParticleConfiguration, Trajectory
-from .errors import DegenerateConsensusError, DivergedRunError
+from .dynamics import ParticleConfiguration, iterate
+from .errors import DegenerateConsensusError
 
 # Keeps the adaptive bandwidth usable when particles coincide.
 _BANDWIDTH_FLOOR = 1e-12
+
+# Both samplers do no work after their last step.
+_NO_EVALS = {"density_evals": 0, "score_evals": 0}
 
 
 @dataclass(frozen=True)
@@ -103,32 +107,24 @@ def svgd_step(Y, t, p):
     return Y + (p.eta / M) * (attraction + repulsion)
 
 
-def run_svgd(t, p, Y0, callbacks=None):
-    """Iterate svgd_step T times; returns (trajectory, uniform-weight config).
-
-    Each callback is called as cb(it, Y_it, None, diag) at the top of
-    iteration it; diag holds the evaluations of one step.
-    """
-    Y = np.array(Y0, dtype=float)
+def _uniform(Y):
     M = Y.shape[0]
-    traj = Trajectory()
-    diag = {"density_evals": 0, "score_evals": M, "frozen": []}
-    for it in range(p.T):
-        if callbacks:
-            for cb in callbacks:
-                cb(it, Y, None, diag)
-        Y = svgd_step(Y, t, p)
-        traj.score_evals += M
-        if not np.all(np.isfinite(Y)):
-            traj.status = "diverged"
-            rows = np.unique(np.nonzero(~np.isfinite(Y))[0]).tolist()
-            raise DivergedRunError(
-                f"non-finite SVGD update for particle(s) {rows} "
-                f"at iteration {it}",
-                trajectory=traj,
-            )
-    w = np.full(M, 1.0 / M)
-    return traj, ParticleConfiguration(Y=Y, w=w)
+    return ParticleConfiguration(Y=Y, w=np.full(M, 1.0 / M))
+
+
+def run_svgd(t, p, Y0, callbacks=()):
+    """Iterate svgd_step T times with ``dynamics.iterate``.
+
+    Callbacks see w_it = None and diagnostics holding the M score
+    evaluations of one step. Returns (uniform-weight config, diag) with
+    no evaluations in diag.
+    """
+    diag = {"density_evals": 0, "score_evals": len(Y0), "frozen": []}
+
+    def step(Y, it):
+        return svgd_step(Y, t, p), None, diag
+
+    return _uniform(iterate(step, Y0, p.T, callbacks)), dict(_NO_EVALS)
 
 
 def consensus_point(Y, t, p):
@@ -159,29 +155,16 @@ def cbs_step(Y, t, p, rng):
     return drift + p.noise_scale * math.sqrt(2.0 * p.eta) * radii * zeta
 
 
-def run_cbs(t, p, Y0, callbacks=None):
+def run_cbs(t, p, Y0, callbacks=()):
     """Iterate cbs_step T times with a fresh per-iteration noise stream.
 
-    Callbacks are called as in run_svgd.
+    Callbacks and the return value are as in run_svgd, with M density
+    evaluations per step.
     """
-    Y = np.array(Y0, dtype=float)
-    M = Y.shape[0]
-    traj = Trajectory()
-    diag = {"density_evals": M, "score_evals": 0, "frozen": []}
-    for it in range(p.T):
-        if callbacks:
-            for cb in callbacks:
-                cb(it, Y, None, diag)
+    diag = {"density_evals": len(Y0), "score_evals": 0, "frozen": []}
+
+    def step(Y, it):
         rng = np.random.default_rng([p.seed, 2, it])
-        Y = cbs_step(Y, t, p, rng)
-        traj.density_evals += M
-        if not np.all(np.isfinite(Y)):
-            traj.status = "diverged"
-            rows = np.unique(np.nonzero(~np.isfinite(Y))[0]).tolist()
-            raise DivergedRunError(
-                f"non-finite CBS update for particle(s) {rows} "
-                f"at iteration {it}",
-                trajectory=traj,
-            )
-    w = np.full(M, 1.0 / M)
-    return traj, ParticleConfiguration(Y=Y, w=w)
+        return cbs_step(Y, t, p, rng), None, diag
+
+    return _uniform(iterate(step, Y0, p.T, callbacks)), dict(_NO_EVALS)

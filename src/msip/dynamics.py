@@ -4,13 +4,16 @@ One step maps a configuration Y through Psi(Y) = W^{-1} K_lambda^{-1} v1(Y)
 with W = diag(K_lambda^{-1} v0(Y)), damped by eta and clamped to an
 optional bounds box. Weights that underflow the representable range mark a
 particle degenerate: the map refuses to move it (the runner freezes it for
-the iteration and continues, recording the event).
+the iteration and continues, reporting the frozen indices).
+
+``iterate`` is the one run loop of the library: run_msip here and the
+SVGD and CBS runners in ``baselines`` each pass it their step.
 
 The penalized objective and its exact gradient are available for targets
 with analytic embeddings (Gaussian mixtures).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,17 +73,6 @@ class ParticleConfiguration:
     w: np.ndarray
 
 
-@dataclass
-class Trajectory:
-    """Per-iteration diagnostics collected by run_msip."""
-
-    steps: list = field(default_factory=list)
-    positions: list | None = None
-    density_evals: int = 0
-    score_evals: int = 0
-    status: str = "ok"
-
-
 def _inner_rule(p, d, iteration):
     """The seeded inner rule of one iteration; None where the estimator
     reads no rule (fredholm uses the one-point rule)."""
@@ -109,12 +101,13 @@ def _map_parts(Y, t, p, iteration, degenerate):
         psi = Z / wsafe[:, None]
     if frozen.any():
         psi[frozen] = Y[frozen]
-    bad = ~np.isfinite(psi)
+    # checked before the bounds clip, which would make an infinite map
+    # output finite
+    bad = ~np.isfinite(psi).all(axis=1)
     if bad.any():
-        rows = np.unique(np.nonzero(bad)[0]).tolist()
         raise DivergedRunError(
-            f"non-finite map output for particle(s) {rows} "
-            f"at iteration {iteration}"
+            f"non-finite map output for particle(s) "
+            f"{np.nonzero(bad)[0].tolist()} at iteration {iteration}"
         )
     return psi, w, frozen, est
 
@@ -143,8 +136,6 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     if p.bounds is not None:
         np.clip(Y_next, p.bounds[0], p.bounds[1], out=Y_next)
     diagnostics = {
-        "v0_hat": est.v0_hat,
-        "w": w,
         "frozen": np.nonzero(frozen)[0].tolist(),
         "density_evals": est.density_evals,
         "score_evals": est.score_evals,
@@ -152,52 +143,58 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     return Y_next, w, diagnostics
 
 
-def run_msip(t, p, Y0, callbacks=None, store_positions=False):
-    """Iterate msip_step T times from Y0.
+def iterate(step, Y0, T, callbacks=()):
+    """Run an interacting particle system T steps from Y0; returns Y_T.
 
-    Each callback is called as cb(it, Y_it, w_it, diag_it) for it = 0 ...
-    T-1, right after step it returns: w_it are the weights that step solved
-    at Y_it, and diag_it its diagnostics (frozen indices and the density
-    and score evaluations of that step).
-
-    Degenerate weights freeze the affected particle for the iteration and
-    the run continues (status degenerate-weights-occurred). A non-finite
-    map aborts with a diverged-run error carrying the partial trajectory.
-    Returns (trajectory, final ParticleConfiguration) with final weights
-    re-solved at Y_T.
+    Iteration it calls step(Y_it, it), which returns (Y_next, w_it,
+    diag_it), then calls each callback as cb(it, Y_it, w_it, diag_it):
+    w_it are the weights the step solved at Y_it (None for a sampler with
+    uniform weights) and diag_it is the step's dict of diagnostics. After
+    the callbacks, a non-finite Y_next raises DivergedRunError naming the
+    particles and the iteration, so the callbacks of the last iteration
+    see its Y_it. An error the step raises itself propagates before the
+    callbacks of its iteration. A non-finite Y0 raises ValueError.
     """
     Y = np.array(Y0, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("initial configuration must be finite")
-    traj = Trajectory(positions=[Y.copy()] if store_positions else None)
-    w = None
-    for it in range(p.T):
-        try:
-            Y_next, w, diag = msip_step(Y, t, p, iteration=it,
-                                        degenerate="freeze")
-        except DivergedRunError as exc:
-            traj.status = "diverged"
-            exc.trajectory = traj
-            raise
-        traj.density_evals += diag["density_evals"]
-        traj.score_evals += diag["score_evals"]
-        if diag["frozen"]:
-            traj.status = "degenerate-weights-occurred"
-        traj.steps.append({"iteration": it, "w": w, "frozen": diag["frozen"]})
-        if callbacks:
-            for cb in callbacks:
-                cb(it, Y, w, diag)
-        if store_positions:
-            traj.positions.append(Y_next.copy())
+    for it in range(T):
+        Y_next, w, diag = step(Y, it)
+        for cb in callbacks:
+            cb(it, Y, w, diag)
+        bad = ~np.isfinite(Y_next).all(axis=1)
+        if bad.any():
+            raise DivergedRunError(
+                f"non-finite update for particle(s) "
+                f"{np.nonzero(bad)[0].tolist()} at iteration {it}"
+            )
         Y = Y_next
-    # final weights at the last configuration
+    return Y
+
+
+def run_msip(t, p, Y0, callbacks=()):
+    """Iterate msip_step T times from Y0 with ``iterate``.
+
+    Callbacks see the weights step it solved at Y_it, and diagnostics
+    holding the indices of the particles it froze and its density and
+    score evaluations. Degenerate weights freeze the affected particle
+    for the iteration and the run continues; a non-finite map raises
+    DivergedRunError. Returns (final, diag): the ParticleConfiguration
+    at Y_T with weights re-solved there, and the density and score
+    evaluations of that solve.
+    """
+    def step(Y, it):
+        return msip_step(Y, t, p, iteration=it, degenerate="freeze")
+
+    Y = iterate(step, Y0, p.T, callbacks)
     est = estimate_embeddings(t, Y, p.kernel.sigma,
                               _inner_rule(p, Y.shape[1], p.T),
                               p.estimator, gamma=p.gamma)
-    traj.density_evals += est.density_evals
-    traj.score_evals += est.score_evals
     w = optimal_weights(kern.gram(Y, p.kernel), est.v0_hat)
-    return traj, ParticleConfiguration(Y=Y, w=w)
+    return ParticleConfiguration(Y=Y, w=w), {
+        "density_evals": est.density_evals,
+        "score_evals": est.score_evals,
+    }
 
 
 # ----------------------------------------------------- objective and gradient

@@ -41,10 +41,6 @@ class DegenerateWeightError(MsipError):
 class DivergedRunError(MsipError):
     """A particle update produced a non-finite coordinate."""
 
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
-
 
 class EstimatorUnavailableError(MsipError):
     """The chosen estimator needs target features that are missing."""

@@ -21,7 +21,6 @@ from .dynamics import MsipParams, ParticleConfiguration, run_msip
 from .errors import ConfigError, DivergedRunError, NonNormalizableError
 from .kernel import KernelSpec
 from .metrics import (
-    KsdParams,
     MetricsReport,
     SampleMmd,
     ksd,
@@ -128,7 +127,13 @@ def _as_int(value, path, minimum=None):
 def _as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _algorithm_defaults(name, row):
@@ -221,6 +226,12 @@ def parse_config(text):
     for key in ("T", "Q"):
         if key in params:
             _as_int(params[key], f"algorithm.params.{key}", minimum=1)
+    for key in ("eta", "sigma", "lam", "gamma", "beta", "noise_scale"):
+        if key in params:
+            params[key] = _as_number(params[key], f"algorithm.params.{key}")
+    if params.get("bandwidth", "median") != "median":
+        params["bandwidth"] = _as_number(params["bandwidth"],
+                                         "algorithm.params.bandwidth")
     if params.get("bounds") is not None and aname in _MSIP_ESTIMATOR:
         b = params["bounds"]
         _require(
@@ -241,15 +252,15 @@ def parse_config(text):
     _reject_unknown(psec, ("M", "init_mean", "init_cov_scale"), "particles.")
     M = _as_int(psec.get("M", 25), "particles.M", minimum=1)
     init_mean = psec.get("init_mean", row["init_mean"])
-    if isinstance(init_mean, (int, float)) and not isinstance(init_mean, bool):
-        init_mean = [float(init_mean)] * dim
-    else:
+    if isinstance(init_mean, list):
         _require(
-            isinstance(init_mean, list) and len(init_mean) == dim,
+            len(init_mean) == dim,
             f"particles.init_mean: expected a number or a list of length "
             f"{dim}",
         )
         init_mean = [_as_number(v, "particles.init_mean") for v in init_mean]
+    else:
+        init_mean = [_as_number(init_mean, "particles.init_mean")] * dim
     init_cov_scale = _as_number(
         psec.get("init_cov_scale", 1.0), "particles.init_cov_scale"
     )
@@ -390,10 +401,10 @@ def build_params(cfg, seed):
 class _TrialRecorder:
     """Accumulates metric rows and cumulative counters for one trial."""
 
-    def __init__(self, cfg, target, ksd_params, ref_mmd, t0):
+    def __init__(self, cfg, target, ksd_bandwidth, ref_mmd, t0):
         self.cfg = cfg
         self.target = target
-        self.ksd_params = ksd_params
+        self.ksd_bandwidth = ksd_bandwidth
         self.ref_mmd = ref_mmd
         self.t0 = t0
         self.rows = []
@@ -428,7 +439,7 @@ class _TrialRecorder:
             vals["ksd"] = float("nan")
             if wn is not None:
                 try:
-                    vals["ksd"] = ksd(Y, wn, S, self.ksd_params)
+                    vals["ksd"] = ksd(Y, wn, S, self.ksd_bandwidth)
                 except ValueError:  # the score is not finite at some y_i
                     pass
         if "loglik" in requested:
@@ -449,7 +460,7 @@ class _TrialRecorder:
         self.last = (np.array(Y), np.array(w))
 
 
-def _run_trial(cfg, target, trial, ksd_params, ref_mmd):
+def _run_trial(cfg, target, trial, ref_mmd):
     seed = cfg.trials["base_seed"] + trial
     d = cfg.target["dim"]
     M = cfg.particles["M"]
@@ -460,7 +471,7 @@ def _run_trial(cfg, target, trial, ksd_params, ref_mmd):
         * rng.standard_normal((M, d))
     params = build_params(cfg, seed)
     name = cfg.algorithm["name"]
-    rec = _TrialRecorder(cfg, target, ksd_params, ref_mmd,
+    rec = _TrialRecorder(cfg, target, cfg.metrics["ksd_bandwidth"], ref_mmd,
                          t0=time.perf_counter())
     uniform = np.full(M, 1.0 / M)
 
@@ -479,24 +490,18 @@ def _run_trial(cfg, target, trial, ksd_params, ref_mmd):
     else:
         run = run_cbs
     try:
-        traj, final = run(target, params, Y0, callbacks=[cb])
+        final, after = run(target, params, Y0, callbacks=[cb])
     except DivergedRunError:
         rec.status = "diverged"
-        if rec.last is None:
-            final = ParticleConfiguration(Y=Y0, w=uniform)
-        else:
-            final = ParticleConfiguration(Y=rec.last[0], w=rec.last[1])
         if rec.rows:
             rec.rows[-1]["status"] = "diverged"
-        status = "diverged"
+        Y, w = (Y0, uniform) if rec.last is None else rec.last
+        final = ParticleConfiguration(Y=Y, w=w)
     else:
-        rec.status = traj.status if traj.status != "ok" else rec.status
-        # counters from the run are authoritative for the final row (they
-        # include the final weight solve)
-        rec.density_evals = traj.density_evals
-        rec.score_evals = traj.score_evals
+        # the final row's counters include the work after the last step
+        rec.density_evals += after["density_evals"]
+        rec.score_evals += after["score_evals"]
         rec.record(params.T, final.Y, final.w)
-        status = rec.status
 
     coverage = None
     if "coverage" in cfg.metrics["list"] and target.analytic is not None:
@@ -517,7 +522,7 @@ def _run_trial(cfg, target, trial, ksd_params, ref_mmd):
         rows=rec.rows,
     )
     return TrialResult(trial=trial, seed=seed, report=report, final=final,
-                       status=status, coverage=coverage)
+                       status=rec.status, coverage=coverage)
 
 
 def run_experiment(cfg, on_trial=None):
@@ -531,7 +536,6 @@ def run_experiment(cfg, on_trial=None):
     target = make_benchmark(
         cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
     )
-    ksd_params = KsdParams(bandwidth=cfg.metrics["ksd_bandwidth"])
     ref_mmd = None
     if "mmd2" in cfg.metrics["list"] and target.analytic is None:
         X = reference_samples(
@@ -541,7 +545,7 @@ def run_experiment(cfg, on_trial=None):
         ref_mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
     results = []
     for trial in range(cfg.trials["count"]):
-        result = _run_trial(cfg, target, trial, ksd_params, ref_mmd)
+        result = _run_trial(cfg, target, trial, ref_mmd)
         results.append(result)
         if on_trial is not None:
             on_trial(result)

@@ -27,30 +27,10 @@ from .targets import gmm_c_pi, gmm_v0, normalized
 _SUM_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class KsdParams:
-    """IMQ kernel k(x,y) = (c2 + |x-y|^2 / bandwidth^2)^beta_imq.
-
-    ``scale`` multiplies the reported discrepancy (the square root of the
-    quadratic form); the default 1 reports the bare value.
-    """
-
-    bandwidth: float
-    c2: float = 1.0
-    beta_imq: float = -0.5
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.c2 <= 0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
-        if not -1.0 < self.beta_imq < 0.0:
-            raise ValueError(
-                f"beta_imq must lie in (-1, 0), got {self.beta_imq}"
-            )
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+# The IMQ kernel k(x,y) = (c2 + |x-y|^2 / bandwidth^2)^beta of the Stein
+# discrepancy, with the usual c2 = 1, beta = -1/2 (Gorham & Mackey 2017).
+IMQ_C2 = 1.0
+IMQ_BETA = -0.5
 
 
 @dataclass
@@ -140,26 +120,28 @@ class SampleMmd:
         return mmd2, float(reps.std(ddof=1))
 
 
-def ksd2(Y, w, S, p):
+def ksd2(Y, w, S, bandwidth):
     """Quadratic form sum_ij w_i w_j k0(y_i, y_j) of the IMQ Stein kernel.
 
-    S holds the target's score at each row of Y. Weights are normalized
-    to unit sum first, so the value is invariant to positive rescaling of
-    the raw weight vector.
+    S holds the target's score at each row of Y, and bandwidth is the
+    IMQ length scale. Weights are normalized to unit sum first, so the
+    value is invariant to positive rescaling of the raw weight vector.
     """
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     Y = np.asarray(Y, dtype=float)
     w = normalize_weights(w)
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
         rows = np.unique(np.nonzero(~np.isfinite(S))[0]).tolist()
         raise ValueError(f"non-finite score for particle(s) {rows}")
-    K0 = imq_stein_gram(Y, S, p.c2, p.bandwidth**2, p.beta_imq)
+    K0 = imq_stein_gram(Y, S, IMQ_C2, bandwidth**2, IMQ_BETA)
     return float(w @ K0 @ w)
 
 
-def ksd(Y, w, S, p):
-    """scale * sqrt(max(ksd2, 0)): the reported Stein discrepancy."""
-    return p.scale * math.sqrt(max(ksd2(Y, w, S, p), 0.0))
+def ksd(Y, w, S, bandwidth):
+    """sqrt(max(ksd2, 0)): the reported Stein discrepancy."""
+    return math.sqrt(max(ksd2(Y, w, S, bandwidth), 0.0))
 
 
 def weighted_loglik(w, logp):

@@ -22,7 +22,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from msip.harness import ALGORITHM_NAMES, parse_config, run_experiment  # noqa: E402
+from msip.harness import (  # noqa: E402
+    ALGORITHM_NAMES,
+    parse_config,
+    run_experiment,
+)
 from msip.targets import BENCHMARK_NAMES  # noqa: E402
 
 BASE = {

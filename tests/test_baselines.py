@@ -127,29 +127,35 @@ class TestRunSvgd:
         t = make_benchmark("gmm", 2, seed=12)
         p = SvgdParams(eta=0.5, T=25)
         Y0 = np.random.default_rng(115).uniform(0.0, 7.5, size=(10, 2))
-        traj_a, final_a = run_svgd(t, p, Y0)
-        traj_b, final_b = run_svgd(t, p, Y0)
+        steps = []
+        final_a, after = run_svgd(
+            t, p, Y0, callbacks=[lambda it, Y, w, d: steps.append((w, d))])
+        final_b, _ = run_svgd(t, p, Y0)
         assert np.array_equal(final_a.Y, final_b.Y)
         assert np.array_equal(final_a.w, np.full(10, 0.1))
-        assert traj_a.score_evals == 250
-        assert traj_a.density_evals == 0
-        assert traj_a.status == "ok"
-        assert traj_b.status == "ok"
+        assert steps == [(None, {"density_evals": 0, "score_evals": 10,
+                                 "frozen": []})] * 25
+        assert after == {"density_evals": 0, "score_evals": 0}
 
     def test_contracts_toward_single_gaussian(self):
         p = SvgdParams(eta=0.5, T=300)
         Y0 = np.linspace(-4.0, 4.0, 12)[:, None]
-        _, final = run_svgd(STD_NORMAL, p, Y0)
+        final, _ = run_svgd(STD_NORMAL, p, Y0)
         assert abs(final.Y.mean()) < 0.2
         assert 0.5 < final.Y.std() < 1.5
 
-    def test_divergence_raises_with_trajectory(self):
+    def test_divergence_names_particles_and_iteration(self):
         p = SvgdParams(eta=1e300, T=5, bandwidth=1.0)
         Y0 = np.array([[1.0], [2.0]])
+        seen = []
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(DivergedRunError, match="particle") as info:
-                run_svgd(STD_NORMAL, p, Y0)
-        assert info.value.trajectory.status == "diverged"
+            with pytest.raises(DivergedRunError,
+                               match=r"particle\(s\) \[0, 1\] at "
+                                     r"iteration \d"):
+                run_svgd(STD_NORMAL, p, Y0,
+                         callbacks=[lambda it, Y, w, d: seen.append(it)])
+        # the iteration that diverged was seen by the callbacks
+        assert seen and seen == list(range(len(seen)))
 
     def test_callbacks_see_every_iteration(self):
         seen = []
@@ -234,18 +240,21 @@ class TestCbs:
         t = make_benchmark("gmm", 2, seed=12)
         p = CbsParams(eta=0.3, T=20, seed=5)
         Y0 = np.random.default_rng(117).uniform(0.0, 7.5, size=(8, 2))
-        traj_a, final_a = run_cbs(t, p, Y0)
-        traj_b, final_b = run_cbs(t, p, Y0)
+        steps = []
+        final_a, after = run_cbs(
+            t, p, Y0, callbacks=[lambda it, Y, w, d: steps.append((w, d))])
+        final_b, _ = run_cbs(t, p, Y0)
         assert np.array_equal(final_a.Y, final_b.Y)
         assert np.array_equal(final_a.w, np.full(8, 0.125))
-        assert traj_a.density_evals == 160
-        assert traj_a.score_evals == 0
-        other = run_cbs(t, CbsParams(eta=0.3, T=20, seed=6), Y0)[1]
+        assert steps == [(None, {"density_evals": 8, "score_evals": 0,
+                                 "frozen": []})] * 20
+        assert after == {"density_evals": 0, "score_evals": 0}
+        other = run_cbs(t, CbsParams(eta=0.3, T=20, seed=6), Y0)[0]
         assert not np.array_equal(other.Y, final_a.Y)
 
     def test_run_contracts_to_high_density_region(self):
         t = STD_NORMAL
         p = CbsParams(beta=2.0, eta=0.5, T=200, noise_scale=0.3, seed=1)
         Y0 = np.linspace(-6.0, 6.0, 10)[:, None]
-        _, final = run_cbs(t, p, Y0)
+        final, _ = run_cbs(t, p, Y0)
         assert np.all(np.abs(final.Y) < 3.0)

@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,44 @@ class TestUsageErrors:
         assert main(["run", write_cfg(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"algorithm.{path}" in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("section,path", [
+        ({"algorithm": {"name": "msip-f", "params": {"eta": True}}},
+         "algorithm.params.eta"),
+        ({"algorithm": {"name": "cbs", "params": {"eta": math.nan}}},
+         "algorithm.params.eta"),
+        ({"algorithm": {"name": "msip-f", "params": {"sigma": math.inf}}},
+         "algorithm.params.sigma"),
+        ({"algorithm": {"name": "msip-f", "params": {"lam": math.nan}}},
+         "algorithm.params.lam"),
+        ({"algorithm": {"name": "msip-hybrid",
+                        "params": {"gamma": -math.inf}}},
+         "algorithm.params.gamma"),
+        ({"algorithm": {"name": "cbs", "params": {"beta": math.nan}}},
+         "algorithm.params.beta"),
+        ({"algorithm": {"name": "cbs", "params": {"noise_scale": math.inf}}},
+         "algorithm.params.noise_scale"),
+        ({"algorithm": {"name": "svgd", "params": {"bandwidth": math.inf}}},
+         "algorithm.params.bandwidth"),
+        ({"algorithm": {"name": "svgd", "params": {"bandwidth": True}}},
+         "algorithm.params.bandwidth"),
+        ({"particles": {"M": 5, "init_mean": [math.nan, 0.0]}},
+         "particles.init_mean"),
+        ({"particles": {"M": 5, "init_mean": math.inf}},
+         "particles.init_mean"),
+        ({"metrics": {"mmd_bandwidth": math.inf}},
+         "metrics.mmd_bandwidth"),
+        ({"algorithm": {"name": "msip-f", "params": {"eta": 10**400}}},
+         "algorithm.params.eta"),
+    ])
+    def test_non_finite_or_boolean_numbers_exit_1(self, tmp_path, capsys,
+                                                  section, path):
+        # json reads NaN, Infinity and -Infinity as floats
+        doc = run_doc(tmp_path, **section)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: expected a")
         assert not (tmp_path / "res").exists()
 
 

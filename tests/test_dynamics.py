@@ -10,6 +10,7 @@ import msip.targets
 from msip.dynamics import (
     ESTIMATORS,
     MsipParams,
+    iterate,
     msip_map,
     msip_step,
     objective,
@@ -151,16 +152,73 @@ class TestStep:
         assert not np.allclose(Y_next[:5], Y[:5])
 
 
+def frozen_log(log):
+    """A run callback appending each step's frozen indices to log."""
+    return lambda it, Y, w, diag: log.append(diag["frozen"])
+
+
+class TestIterate:
+    def test_calls_step_then_callbacks_and_returns_last(self):
+        calls = []
+
+        def step(Y, it):
+            calls.append(("step", it))
+            return Y + 1.0, np.full(2, it), {"it": it}
+
+        def cb(it, Y, w, diag):
+            calls.append(("cb", it, Y[0, 0], w[0], diag["it"]))
+
+        Y0 = np.zeros((2, 1))
+        Y_T = iterate(step, Y0, 3, [cb])
+        assert calls == [("step", 0), ("cb", 0, 0.0, 0, 0),
+                         ("step", 1), ("cb", 1, 1.0, 1, 1),
+                         ("step", 2), ("cb", 2, 2.0, 2, 2)]
+        assert np.array_equal(Y_T, np.full((2, 1), 3.0))
+        assert np.array_equal(Y0, np.zeros((2, 1)))
+
+    def test_divergence_raised_after_callbacks(self):
+        def step(Y, it):
+            Y_next = Y.copy()
+            if it == 2:
+                Y_next[1, 0] = np.inf
+                Y_next[3, 1] = np.nan
+            return Y_next, None, {}
+
+        seen = []
+        with pytest.raises(DivergedRunError,
+                           match=r"particle\(s\) \[1, 3\] at iteration 2"):
+            iterate(step, np.zeros((4, 2)), 5,
+                    [lambda it, Y, w, diag: seen.append(it)])
+        assert seen == [0, 1, 2]
+
+    def test_step_error_propagates_before_callbacks(self):
+        def step(Y, it):
+            if it == 1:
+                raise DivergedRunError("from the step")
+            return Y, None, {}
+
+        seen = []
+        with pytest.raises(DivergedRunError, match="from the step"):
+            iterate(step, np.zeros((1, 1)), 3,
+                    [lambda it, Y, w, diag: seen.append(it)])
+        assert seen == [0]
+
+    def test_rejects_non_finite_start(self):
+        with pytest.raises(ValueError, match="finite"):
+            iterate(lambda Y, it: (Y, None, {}), np.array([[np.inf]]), 1)
+
+
 class TestRun:
     def test_deterministic_and_final_weights_consistent(self):
         target = make_benchmark("gmm", 2, seed=3)
         p = params(estimator="stein", Q=5, T=20, seed=11)
         Y0 = reference_samples(target, 8, seed=97)
-        traj_a, final_a = run_msip(target, p, Y0)
-        traj_b, final_b = run_msip(target, p, Y0)
+        frozen = []
+        final_a, _ = run_msip(target, p, Y0, callbacks=[frozen_log(frozen)])
+        final_b, _ = run_msip(target, p, Y0)
         assert np.array_equal(final_a.Y, final_b.Y)
         assert np.array_equal(final_a.w, final_b.w)
-        assert traj_a.status == traj_b.status == "ok"
+        assert frozen == [[]] * p.T
         assert np.array_equal(
             final_a.w, msip_step(final_a.Y, target, p, iteration=p.T)[1]
         )
@@ -170,20 +228,19 @@ class TestRun:
         p = params(T=4)
         Y0 = reference_samples(target, 5, seed=98)
         seen = []
-        traj, final = run_msip(
+        final, _ = run_msip(
             target, p, Y0,
             callbacks=[lambda it, Y, w, diag: seen.append((it, Y, w))],
-            store_positions=True,
         )
         # call it sees Y_it with the weights step it solved there
         assert [it for it, _, _ in seen] == [0, 1, 2, 3]
+        assert np.array_equal(seen[0][1], Y0)
         for it, Y, w in seen:
-            assert np.array_equal(Y, traj.positions[it])
-            assert np.array_equal(w, traj.steps[it]["w"])
-        assert len(traj.positions) == 5
-        assert np.array_equal(traj.positions[0], Y0)
-        assert np.array_equal(traj.positions[-1], final.Y)
-        assert len(traj.steps) == 4
+            Y_next, w_it, _ = msip_step(Y, target, p, iteration=it,
+                                        degenerate="freeze")
+            assert np.array_equal(w, w_it)
+            following = seen[it + 1][1] if it + 1 < p.T else final.Y
+            assert np.array_equal(following, Y_next)
 
     def test_degenerate_weights_freeze_and_flag_status(self):
         target = make_benchmark("gmm", 2, seed=3)
@@ -192,13 +249,14 @@ class TestRun:
             [[500.0, 500.0]],
         ])
         p = params(T=3)
-        traj, final = run_msip(target, p, Y0)
-        assert traj.status == "degenerate-weights-occurred"
+        frozen = []
+        final, _ = run_msip(target, p, Y0, callbacks=[frozen_log(frozen)])
+        assert [5] in frozen
         assert np.array_equal(final.Y[5], Y0[5])
 
-    def test_diverged_run_carries_trajectory(self):
+    def test_diverged_run_names_particles_and_iteration(self):
         # A wildly super-exponential density overflows the embeddings; the
-        # resulting non-finite map must abort with the partial trajectory.
+        # resulting non-finite map must abort the run.
         hot = TargetDensity(
             dim=1,
             base_log_density=lambda x: np.full(
@@ -207,10 +265,9 @@ class TestRun:
         )
         p = params(estimator="gf", Q=3, T=10)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergedRunError) as info:
+            with pytest.raises(DivergedRunError,
+                               match=r"particle\(s\) \[.*\] at iteration 0"):
                 run_msip(hot, p, np.zeros((4, 1)))
-        assert info.value.trajectory is not None
-        assert info.value.trajectory.status == "diverged"
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError, match="finite"):
@@ -219,10 +276,13 @@ class TestRun:
     def test_counts_evaluations(self):
         target = make_benchmark("gmm", 2, seed=3)
         p = params(estimator="stein", Q=4, T=3)
-        traj, _ = run_msip(target, p, np.zeros((5, 2)))
+        steps = []
+        _, after = run_msip(target, p, np.zeros((5, 2)),
+                            callbacks=[lambda it, Y, w, d: steps.append(d)])
         # T steps plus the final re-solve, 5 particles x 4 nodes each
-        assert traj.density_evals == (3 + 1) * 20
-        assert traj.score_evals == (3 + 1) * 20
+        for key in ("density_evals", "score_evals"):
+            assert [d[key] for d in steps] == [20] * 3
+            assert after[key] == 20
 
     @pytest.mark.parametrize("algorithm,points", [("msip-f", 6),
                                                   ("msip-gi", 6 * 10)])
@@ -318,8 +378,9 @@ class TestObjective:
         # particles instead of settling on the fixed point
         p = params(kernel=KernelSpec(sigma=0.5, lam=1e-6), eta=0.5, T=800)
         Y0 = np.linspace(-2.0, 2.0, 5)[:, None]
-        traj, final = run_msip(STD_NORMAL, p, Y0)
-        assert traj.status == "ok"
+        frozen = []
+        final, _ = run_msip(STD_NORMAL, p, Y0, callbacks=[frozen_log(frozen)])
+        assert not any(frozen)
         g = objective_gradient(final.Y, STD_NORMAL, p)
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(final.Y))
 

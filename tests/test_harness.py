@@ -30,7 +30,6 @@ from msip.harness import (
     write_outputs,
 )
 from msip.metrics import (
-    KsdParams,
     SampleMmd,
     ksd,
     normalize_weights,
@@ -527,15 +526,14 @@ class TestRunExperiment:
                 target.base_log_density_and_score),
         )
         rec = _TrialRecorder(cfg, counted_target,
-                             KsdParams(cfg.metrics["ksd_bandwidth"]), None,
-                             t0=0.0)
+                             cfg.metrics["ksd_bandwidth"], None, t0=0.0)
         Y = reference_samples(target, 5, seed=3)
         rec.record(0, Y, np.full(5, 0.2))
         assert calls == [5]
         row = rec.rows[0]
         S = target.score(Y)
         assert row["ksd"] == ksd(Y, np.full(5, 0.2), S,
-                                 KsdParams(cfg.metrics["ksd_bandwidth"]))
+                                 cfg.metrics["ksd_bandwidth"])
         assert row["loglik"] == weighted_loglik(np.full(5, 0.2),
                                                 target.log_density(Y))
 

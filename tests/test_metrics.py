@@ -9,9 +9,9 @@ from msip.dynamics import MsipParams, msip_step, objective, optimal_weights
 from msip.errors import NonNormalizableError
 from msip.kernel import KernelSpec, gram
 from msip.metrics import (
-    KsdParams,
+    IMQ_BETA,
+    IMQ_C2,
     SampleMmd,
-    ksd,
     ksd2,
     mmd2_vs_gmm,
     mode_coverage,
@@ -165,24 +165,21 @@ class TestKsd:
         rng = np.random.default_rng(147)
         Y = rng.uniform(0.0, 7.5, size=(6, 2))
         w = rng.uniform(0.5, 1.5, size=6)
-        p = KsdParams(bandwidth=0.5)
+        bandwidth = 0.5
         wn = w / w.sum()
         S = target.score(Y)
-        ell2 = p.bandwidth**2
+        ell2 = bandwidth**2
+        c2, beta = IMQ_C2, IMQ_BETA
 
         def k0(x, sx, y, sy):
             r2 = float(np.sum((x - y) ** 2))
-            u = p.c2 + r2 / ell2
-            k = u**p.beta_imq
-            dk_dy = (-p.beta_imq * 2.0 / ell2) * (x - y) * u ** (
-                p.beta_imq - 1.0
-            )
+            u = c2 + r2 / ell2
+            k = u**beta
+            dk_dy = (-beta * 2.0 / ell2) * (x - y) * u ** (beta - 1.0)
             dk_dx = -dk_dy
             trace = (
-                -4.0 * p.beta_imq * (p.beta_imq - 1.0)
-                * u ** (p.beta_imq - 2.0) * r2 / ell2**2
-                - 2.0 * Y.shape[1] * p.beta_imq
-                * u ** (p.beta_imq - 1.0) / ell2
+                -4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * r2 / ell2**2
+                - 2.0 * Y.shape[1] * beta * u ** (beta - 1.0) / ell2
             )
             return (float(sx @ sy) * k + float(sx @ dk_dy)
                     + float(sy @ dk_dx) + trace)
@@ -191,53 +188,36 @@ class TestKsd:
             wn[i] * wn[j] * k0(Y[i], S[i], Y[j], S[j])
             for i in range(6) for j in range(6)
         )
-        assert ksd2(Y, w, target.score(Y), p) == pytest.approx(brute,
-                                                               rel=1e-10)
+        assert ksd2(Y, w, target.score(Y), bandwidth) == pytest.approx(
+            brute, rel=1e-10)
 
     def test_nonnegative_for_signed_weights(self):
         target = make_benchmark("gmm", 2, seed=14)
         rng = np.random.default_rng(148)
-        p = KsdParams(bandwidth=0.5)
         for _ in range(20):
             Y = rng.uniform(0.0, 7.5, size=(8, 2))
             # keep the sum well away from zero so normalization does not
             # amplify round-off in the quadratic form
             w = rng.standard_normal(8) + 1.0
-            assert ksd2(Y, w, target.score(Y), p) >= -1e-10
+            assert ksd2(Y, w, target.score(Y), 0.5) >= -1e-10
 
     def test_invariant_to_positive_weight_rescaling(self):
         target = make_benchmark("gmm", 2, seed=14)
         rng = np.random.default_rng(149)
         Y = rng.uniform(0.0, 7.5, size=(7, 2))
         w = rng.uniform(0.1, 1.0, size=7)
-        p = KsdParams(bandwidth=0.5)
-        assert ksd2(Y, 13.0 * w, target.score(Y), p) == pytest.approx(
-            ksd2(Y, w, target.score(Y), p), rel=1e-12
-        )
-
-    def test_scale_multiplies_reported_value(self):
-        target = make_benchmark("gmm", 2, seed=14)
-        Y = reference_samples(target, 6, seed=20)
-        w = np.full(6, 1.0 / 6)
-        base = ksd(Y, w, target.score(Y), KsdParams(bandwidth=0.5))
-        scaled = ksd(Y, w, target.score(Y),
-                     KsdParams(bandwidth=0.5, scale=2.5))
-        assert scaled == pytest.approx(2.5 * base, rel=1e-14)
-        assert base == pytest.approx(
-            math.sqrt(ksd2(Y, w, target.score(Y),
-                           KsdParams(bandwidth=0.5))),
-            rel=1e-14,
+        assert ksd2(Y, 13.0 * w, target.score(Y), 0.5) == pytest.approx(
+            ksd2(Y, w, target.score(Y), 0.5), rel=1e-12
         )
 
     def test_shrinks_toward_target_sample(self):
         target = make_benchmark("gmm", 2, seed=14)
-        p = KsdParams(bandwidth=0.5)
         close = reference_samples(target, 60, seed=21)
         far = np.full((60, 2), 15.0) \
             + 0.1 * np.random.default_rng(150).standard_normal((60, 2))
         w = np.full(60, 1.0 / 60)
-        assert ksd2(close, w, target.score(close), p) \
-            < ksd2(far, w, target.score(far), p)
+        assert ksd2(close, w, target.score(close), 0.5) \
+            < ksd2(far, w, target.score(far), 0.5)
 
     def test_non_finite_score_names_particles(self):
         target = make_benchmark("funnel", 2)
@@ -245,18 +225,12 @@ class TestKsd:
         # exp(800) overflows inside the funnel score
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"particle\(s\) \[1\]"):
-                ksd2(Y, np.array([0.5, 0.5]), target.score(Y),
-                     KsdParams(bandwidth=0.5))
+                ksd2(Y, np.array([0.5, 0.5]), target.score(Y), 0.5)
 
     def test_params_validated(self):
+        Y = np.zeros((1, 2))
         with pytest.raises(ValueError, match="bandwidth"):
-            KsdParams(bandwidth=0.0)
-        with pytest.raises(ValueError, match="c2"):
-            KsdParams(bandwidth=1.0, c2=-1.0)
-        with pytest.raises(ValueError, match="beta_imq"):
-            KsdParams(bandwidth=1.0, beta_imq=-1.0)
-        with pytest.raises(ValueError, match="scale"):
-            KsdParams(bandwidth=1.0, scale=0.0)
+            ksd2(Y, np.ones(1), Y, 0.0)
 
 
 class TestWeightedLoglik:
