@@ -8,8 +8,9 @@ on every config, wall time aside:
     python3 tests/run_digests.py > digests.txt
 
 The matrix: every algorithm on every benchmark at T = 40 with M = 6,
-SVGD and a-SVGD runs that diverge, degenerate weights, a 10-D mixture
-and msip-gf without bounds; 2 trials each.
+SVGD and a-SVGD runs that diverge, degenerate weights, a 10-D mixture,
+msip-gf without bounds, and three runs at T = 10 with M > 128, whose
+kernel matrices span several row blocks of 64; 2 trials each.
 """
 
 import hashlib
@@ -64,6 +65,13 @@ def matrix():
     out.append(("msip-gf/funnel/unbounded", _doc(
         {"name": "funnel", "dim": 2}, "msip-gf",
         {"T": 40, "bounds": None})))
+    for name, target, algorithm, M in (
+            ("msip-f/gmm-d10/M150", {"name": "gmm", "dim": 10}, "msip-f", 150),
+            ("svgd/gmm/M150", {"name": "gmm", "dim": 2}, "svgd", 150),
+            ("msip-gf/funnel/M130", {"name": "funnel", "dim": 2}, "msip-gf",
+             130)):
+        out.append((name, _doc(target, algorithm, {"T": 10},
+                               particles={"M": M})))
     return out
 
 
