@@ -6,7 +6,13 @@ exact arithmetic would give:
 - the distance matrices are formed in the expanded form through BLAS.
   They are exactly symmetric with a zero diagonal, but not bitwise
   permutation-equivariant: BLAS may round a pair's inner product
-  differently depending on where the pair sits in the matrix.
+  differently depending on where the pair sits in the matrix. This is
+  why ``test_permutation_conjugates_gram`` fails.
+  The symmetric distances and SE matrices are computed on the upper
+  triangle only, in row blocks of 64, and mirrored block by block. Each
+  entry goes through the same operations in the same order as the
+  full-matrix formula mirrored from its upper triangle, so the result
+  is bit for bit the same.
 - the SE row sums against a reference sample X of N points drop
   far-apart pairs; they use direct-difference distances. A ``SeTiles``
   sorts and tiles X once, and both sums share it. Each self row-sum is
@@ -20,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "sym_sq_dists",
+    "sym_se_matrix",
     "cross_sq_dists",
     "SeTiles",
     "se_cross_rowsums",
@@ -28,22 +35,60 @@ __all__ = [
 ]
 
 
+# Rows per block of the symmetric distance and SE matrices.
+_BLOCK = 64
+
+
 def sym_sq_dists(Y):
     """All pairwise squared distances among rows of Y, exactly symmetric.
 
     Expanded form ||x||^2 + ||y||^2 - 2<x,y>, clamped at 0 against negative
-    round-off, then mirrored from the upper triangle so D[i,j] == D[j,i]
-    bit-exactly and the diagonal is exactly 0. Mirroring does not make D
-    permutation-equivariant: BLAS rounds <y_i, y_j> according to where the
-    pair sits in Y @ Y.T, so the distances of a permuted Y can differ from
-    the permuted distances in the last bit, and so can ``kernel.gram``.
+    round-off, computed on the upper triangle and mirrored, so D[i,j] ==
+    D[j,i] bit-exactly and the diagonal is exactly 0. Mirroring does not
+    make D permutation-equivariant: BLAS rounds <y_i, y_j> according to
+    where the pair sits in Y @ Y.T, so the distances of a permuted Y can
+    differ from the permuted distances in the last bit, and so can
+    ``kernel.gram``.
     """
+    return _sym_upper_blocks(Y, None)
+
+
+def sym_se_matrix(Y, neg_c):
+    """exp(D / neg_c) for the distances D of ``sym_sq_dists``, neg_c < 0.
+
+    Exactly symmetric, with a diagonal of exactly 1.
+    """
+    return _sym_upper_blocks(Y, neg_c)
+
+
+def _sym_upper_blocks(Y, neg_c):
+    """The distances, or exp(distances / neg_c), row block by row block.
+
+    Y @ Y.T is formed whole: a product of sub-blocks can round an inner
+    product differently. Each block of rows [a, b) is computed in place on
+    its columns [a, M), then copied transposed into rows [b, M) and, within
+    its diagonal block, into the lower triangle.
+    """
+    M = Y.shape[0]
     sq = np.einsum("ij,ij->i", Y, Y)
-    D = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-    np.maximum(D, 0.0, out=D)
-    D = np.triu(D, 1)
-    D += D.T
-    return D
+    K = Y @ Y.T
+    buf = np.empty((min(_BLOCK, M), M))
+    below = np.tri(min(_BLOCK, M), k=-1, dtype=bool)
+    for a in range(0, M, _BLOCK):
+        b = min(a + _BLOCK, M)
+        S = K[a:b, a:]
+        t = np.add(sq[a:b, None], sq[None, a:], out=buf[:b - a, :M - a])
+        S *= 2.0
+        np.subtract(t, S, out=S)
+        np.maximum(S, 0.0, out=S)
+        if neg_c is not None:
+            S /= neg_c
+            np.exp(S, out=S)
+        K[b:, a:b] = S[:, b - a:].T
+        square, lower = S[:, :b - a], below[:b - a, :b - a]
+        square[lower] = square.T[lower]
+    np.fill_diagonal(K, 0.0 if neg_c is None else 1.0)
+    return K
 
 
 def cross_sq_dists(A, B):

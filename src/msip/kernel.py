@@ -4,13 +4,22 @@ The Gram matrix of a particle configuration is assembled once (exactly
 symmetric, diagonal exactly 1 + lambda) and factorized lazily by Cholesky;
 every linear system in the library goes through :func:`solve`, which holds
 a 1e-10 relative-residual contract via one step of iterative refinement.
+
+The SE matrix is built on its upper triangle in row blocks of 64 and
+mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix of the
+full-matrix formula exp(-D / (2 sigma^2)) with D mirrored from its upper
+triangle. Its entries are not bitwise permutation-equivariant, because
+BLAS rounds the inner products of Y @ Y.T by position, so
+``test_permutation_conjugates_gram`` fails as it did before the blocks.
+The factor and the solves call LAPACK's dpotrf and dpotrs directly; they
+give the bits scipy's cho_factor and cho_solve give.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _backend
 from .errors import SingularGramError
@@ -66,7 +75,7 @@ class GramMatrix:
 
     entries: np.ndarray
     lambda_applied: float
-    _chol: tuple | None = field(default=None, repr=False)
+    _chol: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self):
@@ -78,7 +87,7 @@ def se_matrix(Y, sigma):
 
     Exactly symmetric with diagonal exactly 1; Y is an M x d float array.
     """
-    return np.exp(-_backend.sym_sq_dists(Y) / (2.0 * sigma**2))
+    return _backend.sym_se_matrix(Y, -(2.0 * sigma**2))
 
 
 def gram(Y, spec):
@@ -92,13 +101,18 @@ def gram(Y, spec):
 
 
 def _factor(G):
+    """Lower Cholesky factor of G (Fortran order, upper part not zeroed).
+
+    G.entries is exactly symmetric, so its transpose is the same matrix in
+    Fortran order and dpotrf copies it without transposing.
+    """
     if G._chol is None:
-        try:
-            G._chol = cho_factor(G.entries, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        L, info = dpotrf(G.entries.T, lower=1, clean=0)
+        if info != 0:
             raise SingularGramError(
                 _singular_message(G), index_pair=_closest_pair(G)
-            ) from exc
+            )
+        G._chol = L
     return G._chol
 
 
@@ -131,10 +145,10 @@ def solve(G, B):
     1e-10 even for condition numbers near 1/lambda.
     """
     B = np.asarray(B, dtype=float)
-    c = _factor(G)
-    X = cho_solve(c, B, check_finite=False)
+    L = _factor(G)
+    X = dpotrs(L, B, lower=1)[0]
     R = B - G.entries @ X
-    X = X + cho_solve(c, R, check_finite=False)
+    X = X + dpotrs(L, R, lower=1)[0]
     if CHECK_RESIDUALS:
         num = np.linalg.norm(B - G.entries @ X)
         den = np.linalg.norm(B)

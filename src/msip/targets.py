@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import EstimatorUnavailableError
 from .kernel import log_omega
@@ -84,14 +85,16 @@ def _mixture(t, X, chols, score=False):
     chols are the Cholesky factors of the component covariances: t._chols
     for the target itself, t.blurred_chols(sigma) for its embedding. The
     score -sum_k r_k(x) C_k^{-1} (x - mu_k) reuses the whitening solves of
-    the log-density.
+    the log-density. Each factor is in Fortran order (np.stack keeps the
+    layout of scipy's cholesky), and the triangular solves call dtrtrs on
+    it with the arguments scipy's solve_triangular passes for such a
+    factor, so they give its bits.
     """
     lp = np.empty((X.shape[0], t.k))
     zs = []
     for k in range(t.k):
         L = chols[k]
-        z = solve_triangular(L, (X - t.means[k]).T, lower=True,
-                             check_finite=False)
+        z = dtrtrs(L, (X - t.means[k]).T, lower=1)[0]
         zs.append(z)
         logdet = np.sum(np.log(np.diag(L)))
         lp[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdet \
@@ -106,8 +109,7 @@ def _mixture(t, X, chols, score=False):
     resp = e / s[:, None]
     out = np.zeros_like(X)
     for k in range(t.k):
-        w = solve_triangular(chols[k].T, zs[k], lower=False,
-                             check_finite=False)
+        w = dtrtrs(chols[k], zs[k], lower=1, trans=1)[0]
         out -= resp[:, k, None] * w.T
     return logp, out
 

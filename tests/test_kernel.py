@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from msip._backend import sym_sq_dists
+from msip.baselines import SvgdParams, svgd_step
 from msip.errors import SingularGramError
 from msip.kernel import (
     GramMatrix,
     KernelSpec,
+    _factor,
     gram,
     log_omega,
     omega,
@@ -16,6 +22,7 @@ from msip.kernel import (
     se_matrix,
     solve,
 )
+from msip.targets import TargetDensity
 
 
 class TestKernelSpec:
@@ -220,3 +227,103 @@ class TestSolve:
     def test_gram_matrix_dataclass_shape(self):
         G = GramMatrix(entries=np.eye(3), lambda_applied=0.0)
         assert G.shape == (3, 3)
+
+
+# The full-matrix formula the blocked assembly replaced, kept as reference.
+def reference_sq_dists(Y):
+    sq = np.einsum("ij,ij->i", Y, Y)
+    D = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    np.maximum(D, 0.0, out=D)
+    D = np.triu(D, 1)
+    D += D.T
+    return D
+
+
+def reference_svgd_step(Y, S, eta, h2):
+    K = np.exp(reference_sq_dists(Y) / (-2.0 * h2))
+    repulsion = (Y * K.sum(axis=0)[:, None] - K @ Y) / h2
+    return Y + (eta / Y.shape[0]) * (K @ S + repulsion)
+
+
+def assert_same_bits(a, b):
+    """Equal bits, except that NaNs need only sit at the same places:
+    -D / c and D / -c give NaNs of opposite sign."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+GAUSSIAN = {d: TargetDensity(
+    dim=d,
+    base_log_density=lambda x: -0.5 * np.einsum("ij,ij->i", x, x),
+    base_log_density_and_score=lambda x: (
+        -0.5 * np.einsum("ij,ij->i", x, x), -x),
+) for d in (1, 2, 10)}
+
+
+class TestBlockedAssembly:
+    """The blocked upper-triangle assembly against the full-matrix formula:
+    block edges at 64 rows, bandwidths whose kernels are all underflow or
+    all near 1, and rows that are not finite."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=80)
+    @given(M=st.sampled_from([1, 2, 63, 64, 65, 129, 400]),
+           d=st.sampled_from([1, 2, 10]),
+           sigma=st.floats(1e-3, 1e3),
+           scale=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1),
+           bad=st.sampled_from([None, np.nan, np.inf]))
+    def test_bits_match_full_matrix_formula(self, M, d, sigma, scale, seed,
+                                            bad):
+        rng = np.random.default_rng(seed)
+        Y = scale * rng.standard_normal((M, d))
+        if bad is not None:
+            Y[rng.integers(M)] = bad
+        spec = KernelSpec(sigma=sigma, lam=1e-6)
+        with np.errstate(all="ignore"):
+            D = reference_sq_dists(Y)
+            K = np.exp(-D / (2.0 * sigma**2))
+            G = K.copy()
+            np.fill_diagonal(G, 1.0 + spec.lam)
+            assert_same_bits(sym_sq_dists(Y), D)
+            assert_same_bits(se_matrix(Y, sigma), K)
+            assert_same_bits(gram(Y, spec).entries, G)
+            for h2 in (sigma**2, "median"):
+                if h2 == "median":
+                    h2 = 1.0 if M < 2 else max(
+                        float(np.median(D[np.triu_indices(M, 1)]))
+                        / (2.0 * math.log(M + 1.0)), 1e-12)
+                    p = SvgdParams(eta=0.1)
+                else:
+                    p = SvgdParams(eta=0.1, bandwidth=h2)
+                assert_same_bits(svgd_step(Y, GAUSSIAN[d], p),
+                                 reference_svgd_step(Y, -Y, 0.1, h2))
+
+
+class TestLapackPath:
+    @pytest.mark.parametrize("M", [1, 25, 64, 130, 400])
+    def test_factor_and_solve_match_scipy_bits(self, M):
+        rng = np.random.default_rng(31 + M)
+        Y = 3.0 * rng.standard_normal((M, 3))
+        G = gram(Y, KernelSpec(sigma=0.6, lam=1e-6))
+        c = cho_factor(G.entries, lower=True, check_finite=False)
+        assert _factor(G).tobytes(order="A") == c[0].tobytes(order="A")
+        for shape in ((M,), (M, 3)):
+            B = G.entries @ rng.standard_normal(shape)
+            X = cho_solve(c, B, check_finite=False)
+            X = X + cho_solve(c, B - G.entries @ X, check_finite=False)
+            assert solve(G, B).tobytes() == X.tobytes()
+
+    def test_singular_gram_names_closest_pair(self):
+        rng = np.random.default_rng(32)
+        Y = rng.standard_normal((100, 2))
+        Y[83] = Y[17]
+        G = gram(Y, KernelSpec(sigma=2.0, lam=0.0))
+        with pytest.raises(LinAlgError):
+            cho_factor(G.entries, lower=True, check_finite=False)
+        with pytest.raises(SingularGramError) as info:
+            solve(G, np.ones(100))
+        assert info.value.index_pair == (17, 83)
+        assert "closest particle pair is (17, 83)" in str(info.value)
