@@ -411,7 +411,7 @@ class _TrialRecorder:
         self.status = "ok"
         self.density_evals = 0
         self.score_evals = 0
-        self.last = None  # (Y, w) at the last recorded row
+        self.last = None  # the last (Y_it, w_it) the callback saw
 
     def record(self, iteration, Y, w):
         requested = self.cfg.metrics["list"]
@@ -457,7 +457,6 @@ class _TrialRecorder:
             "score_evals": self.score_evals,
             "status": self.status,
         })
-        self.last = (np.array(Y), np.array(w))
 
 
 def _run_trial(cfg, target, trial, ref_mmd):
@@ -476,8 +475,9 @@ def _run_trial(cfg, target, trial, ref_mmd):
     uniform = np.full(M, 1.0 / M)
 
     def cb(it, Y, w, diag):
+        rec.last = (Y, uniform if w is None else w)
         if it % every == 0:
-            rec.record(it, Y, uniform if w is None else w)
+            rec.record(it, *rec.last)
         rec.density_evals += diag["density_evals"]
         rec.score_evals += diag["score_evals"]
         if diag["frozen"]:

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msip.harness
 import msip.kernel
 import msip.metrics
-from msip.baselines import CbsParams, SvgdParams
+from msip.baselines import CbsParams, SvgdParams, run_svgd
 from msip.dynamics import MsipParams, ParticleConfiguration
 from msip.errors import ConfigError, UnsupportedDimensionError
 from msip.harness import (
@@ -569,6 +570,28 @@ class TestRunExperiment:
         assert summary["n_trials"] == 2
         assert summary["n_survived"] == 0
         assert summary["metrics"] == {}
+
+    def test_diverged_trial_ends_on_last_finite_configuration(self,
+                                                             monkeypatch):
+        # Trial 1 of this config diverges at step 7; its last recorded row
+        # is step 6, but the callbacks saw the finite Y_7 last.
+        seen = {}
+
+        def spy(t, p, Y0, callbacks=()):
+            def last(it, Y, w, diag):
+                seen[p.seed] = Y
+            return run_svgd(t, p, Y0, callbacks=[*callbacks, last])
+
+        monkeypatch.setattr(msip.harness, "run_svgd", spy)
+        doc = GOLDEN_CASES["svgd-himmelblau-diverged"]
+        cfg = parse_config(json.dumps(doc))
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = run_experiment(cfg)
+        for r in results:
+            assert r.status == "diverged"
+            assert np.array_equal(r.final.Y, seen[r.seed])
+            assert np.array_equal(r.final.w, np.full(6, 1.0 / 6))
+        assert results[1].report.rows[-1]["iteration"] == 6
 
     def test_on_trial_callback_sees_results_in_order(self):
         cfg = small_config()
