@@ -290,14 +290,11 @@ class TestBlockedAssembly:
             assert_same_bits(sym_sq_dists(Y), D)
             assert_same_bits(se_matrix(Y, sigma), K)
             assert_same_bits(gram(Y, spec).entries, G)
-            for h2 in (sigma**2, "median"):
-                if h2 == "median":
-                    h2 = 1.0 if M < 2 else max(
-                        float(np.median(D[np.triu_indices(M, 1)]))
-                        / (2.0 * math.log(M + 1.0)), 1e-12)
-                    p = SvgdParams(eta=0.1)
-                else:
-                    p = SvgdParams(eta=0.1, bandwidth=h2)
+            median = 1.0 if M < 2 else max(
+                float(np.median(D[np.triu_indices(M, 1)]))
+                / (2.0 * math.log(M + 1.0)), 1e-12)
+            for bandwidth, h2 in ((sigma**2, sigma**2), ("median", median)):
+                p = SvgdParams(eta=0.1, bandwidth=bandwidth)
                 assert_same_bits(svgd_step(Y, GAUSSIAN[d], p),
                                  reference_svgd_step(Y, -Y, 0.1, h2))
 

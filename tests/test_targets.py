@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from msip.errors import EstimatorUnavailableError
@@ -12,6 +13,7 @@ from msip.targets import (
     BENCHMARK_NAMES,
     GmmTarget,
     TargetDensity,
+    _mixture,
     from_gmm,
     gmm_c_pi,
     gmm_grad_log_v0,
@@ -123,6 +125,46 @@ class TestGmmScore:
     def test_single_gaussian_closed_form(self):
         s = gmm_score(STD_NORMAL_1D, np.array([1.7]))
         assert s[0] == pytest.approx(-1.7, rel=1e-13)
+
+
+def reference_mixture(t, X, chols):
+    """_mixture through scipy's solve_triangular, kept as reference."""
+    lp = np.empty((X.shape[0], t.k))
+    zs = []
+    for k in range(t.k):
+        L = chols[k]
+        z = solve_triangular(L, (X - t.means[k]).T, lower=True,
+                             check_finite=False)
+        zs.append(z)
+        logdet = np.sum(np.log(np.diag(L)))
+        lp[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdet \
+            - 0.5 * t.dim * math.log(2.0 * math.pi)
+    lp += np.log(t.weights)
+    m = lp.max(axis=1, keepdims=True)
+    e = np.exp(lp - m)
+    s = e.sum(axis=1)
+    resp = e / s[:, None]
+    out = np.zeros_like(X)
+    for k in range(t.k):
+        w = solve_triangular(chols[k].T, zs[k], lower=False,
+                             check_finite=False)
+        out -= resp[:, k, None] * w.T
+    return m[:, 0] + np.log(s), out
+
+
+class TestTriangularSolves:
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_mixture_matches_solve_triangular_bits(self, dim, n):
+        # One point makes (X - mu).T both C- and F-contiguous, where a
+        # solve with the factor's transpose rounds differently.
+        t = random_mixture(61 + dim, k=4, dim=dim)
+        X = 2.0 * np.random.default_rng(62).standard_normal((n, dim))
+        for chols in (t._chols, t.blurred_chols(0.7)):
+            logp, score = _mixture(t, X, chols, score=True)
+            ref_logp, ref_score = reference_mixture(t, X, chols)
+            assert logp.tobytes() == ref_logp.tobytes()
+            assert score.tobytes() == ref_score.tobytes()
 
 
 class TestEmbeddings:
