@@ -3,9 +3,12 @@
 Each digest covers a config's metric rows (without the wall-clock column
 ``wall_ms``), the trial statuses, the mode coverage and the bytes of the
 final Y and w. Two checkouts that print the same lines behave the same
-on every config, wall time aside:
+on every config, wall time aside, at the same BLAS thread count:
 
-    python3 tests/run_digests.py > digests.txt
+    OPENBLAS_NUM_THREADS=1 python3 tests/run_digests.py > digests.txt
+
+tests/digests.txt holds the lines for one thread; tests/test_digests.py
+checks them.
 
 The matrix: every algorithm on every benchmark at T = 40 with M = 6,
 SVGD and a-SVGD runs that diverge, degenerate weights, a 10-D mixture,
