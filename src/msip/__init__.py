@@ -22,11 +22,9 @@ from .dynamics import (
     MsipParams,
     ParticleConfiguration,
     iterate,
-    msip_map,
     msip_step,
     objective,
     objective_gradient,
-    optimal_weights,
     run_msip,
 )
 from .embeddings import (
@@ -78,8 +76,6 @@ from .targets import (
     from_gmm,
     gmm_c_pi,
     gmm_grad_log_v0,
-    gmm_log_density,
-    gmm_score,
     gmm_v0,
     make_benchmark,
     reference_samples,

@@ -3,16 +3,17 @@
 Plain numpy, deterministic run to run. Two properties are weaker than
 exact arithmetic would give:
 
-- the distance matrices are formed in the expanded form through BLAS.
-  They are exactly symmetric with a zero diagonal, but not bitwise
+- the distance matrices are formed in the expanded form through BLAS
+  by ``cross_sq_dists``, the one squared-distance routine. Among the
+  rows of one Y they are exactly symmetric, but not bitwise
   permutation-equivariant: BLAS may round a pair's inner product
   differently depending on where the pair sits in the matrix. This is
   why ``test_permutation_conjugates_gram`` fails.
-  The symmetric distances and SE matrices are computed on the upper
-  triangle only, in row blocks of 64, and mirrored block by block. Each
-  entry goes through the same operations in the same order as the
-  full-matrix formula mirrored from its upper triangle, so the result
-  is bit for bit the same.
+  The symmetric SE matrix is computed on the upper triangle only, in
+  row blocks of 64, and mirrored block by block. Each entry goes
+  through the same operations in the same order as exp(D / neg_c) on
+  D = cross_sq_dists(Y, Y), so the result is bit for bit the same, with
+  a diagonal of exactly 1.
 - the SE row sums against a reference sample X of N points drop
   far-apart pairs; they use direct-difference distances. A ``SeTiles``
   sorts and tiles X once, and both sums share it. Each self row-sum is
@@ -25,7 +26,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "sym_sq_dists",
     "sym_se_matrix",
     "cross_sq_dists",
     "SeTiles",
@@ -35,39 +35,19 @@ __all__ = [
 ]
 
 
-# Rows per block of the symmetric distance and SE matrices.
+# Rows per block of the symmetric SE matrix.
 _BLOCK = 64
 
 
-def sym_sq_dists(Y):
-    """All pairwise squared distances among rows of Y, exactly symmetric.
-
-    Expanded form ||x||^2 + ||y||^2 - 2<x,y>, clamped at 0 against negative
-    round-off, computed on the upper triangle and mirrored, so D[i,j] ==
-    D[j,i] bit-exactly and the diagonal is exactly 0. Mirroring does not
-    make D permutation-equivariant: BLAS rounds <y_i, y_j> according to
-    where the pair sits in Y @ Y.T, so the distances of a permuted Y can
-    differ from the permuted distances in the last bit, and so can
-    ``kernel.gram``.
-    """
-    return _sym_upper_blocks(Y, None)
-
-
 def sym_se_matrix(Y, neg_c):
-    """exp(D / neg_c) for the distances D of ``sym_sq_dists``, neg_c < 0.
+    """exp(D / neg_c) for the distances D = cross_sq_dists(Y, Y), neg_c < 0.
 
-    Exactly symmetric, with a diagonal of exactly 1.
-    """
-    return _sym_upper_blocks(Y, neg_c)
-
-
-def _sym_upper_blocks(Y, neg_c):
-    """The distances, or exp(distances / neg_c), row block by row block.
-
-    Y @ Y.T is formed whole: a product of sub-blocks can round an inner
-    product differently. Each block of rows [a, b) is computed in place on
-    its columns [a, M), then copied transposed into rows [b, M) and, within
-    its diagonal block, into the lower triangle.
+    Exactly symmetric, with a diagonal of exactly 1. Y @ Y.T is formed
+    whole: a product of sub-blocks can round an inner product differently.
+    Each block of rows [a, b) is computed in place on its columns [a, M),
+    in the operation order of ``cross_sq_dists``, then copied transposed
+    into rows [b, M) and, within its diagonal block, into the lower
+    triangle.
     """
     M = Y.shape[0]
     sq = np.einsum("ij,ij->i", Y, Y)
@@ -81,18 +61,28 @@ def _sym_upper_blocks(Y, neg_c):
         S *= 2.0
         np.subtract(t, S, out=S)
         np.maximum(S, 0.0, out=S)
-        if neg_c is not None:
-            S /= neg_c
-            np.exp(S, out=S)
+        S /= neg_c
+        np.exp(S, out=S)
         K[b:, a:b] = S[:, b - a:].T
         square, lower = S[:, :b - a], below[:b - a, :b - a]
         square[lower] = square.T[lower]
-    np.fill_diagonal(K, 0.0 if neg_c is None else 1.0)
+    np.fill_diagonal(K, 1.0)
     return K
 
 
 def cross_sq_dists(A, B):
-    """Squared distances between rows of A (n) and rows of B (m), n x m."""
+    """Squared distances between rows of A (n) and rows of B (m), n x m.
+
+    Expanded form ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0 against
+    negative round-off. cross_sq_dists(Y, Y) is exactly symmetric: numpy
+    forms Y @ Y.T with a symmetric rank-k update where the layout suits
+    BLAS, and otherwise with its own loop, which takes the same products
+    in the same order for (i, j) and (j, i). Its diagonal is only near 0.
+    It is not permutation-equivariant: BLAS rounds <y_i, y_j> according
+    to where the pair sits in Y @ Y.T, so the distances of a permuted Y
+    can differ from the permuted distances in the last bit, and so can
+    ``kernel.gram``.
+    """
     sa = np.einsum("ij,ij->i", A, A)
     sb = np.einsum("ij,ij->i", B, B)
     D = sa[:, None] + sb[None, :] - 2.0 * (A @ B.T)
@@ -105,11 +95,11 @@ def cross_sq_dists(A, B):
 _SUM_RTOL = 1e-12
 # Rows per tile.
 _TILE = 256
-# Lowest exponent of the cross sums. numpy's exp takes about 20 times
-# longer when its result underflows to 0 and over 100 times longer when it
-# is subnormal; exp(-700) ~ 1e-304 is still a normal double. Raising
-# smaller exponents to it adds at most 1e-304 |w_i| per term; exact zeros
-# come only from skipped tiles.
+# Lowest exponent of the cross and self sums. numpy's exp takes about 20
+# times longer when its result underflows to 0 and over 100 times longer
+# when it is subnormal; exp(-700) ~ 1e-304 is still a normal double.
+# Raising smaller exponents to it adds at most 1e-304 |w_i| per term;
+# exact zeros come only from skipped tiles.
 _LOWEST_EXPONENT = -700.0
 
 
@@ -160,8 +150,7 @@ def se_cross_rowsums(tiles, Y, w):
     for i, a in enumerate(tiles.starts):
         keep = np.flatnonzero(near[i])
         if keep.size:
-            K = _se_tile(Yt[:, keep], Xs[:, a:a + _TILE], inv, buf,
-                         _LOWEST_EXPONENT)
+            K = _se_tile(Yt[:, keep], Xs[:, a:a + _TILE], inv, buf)
             sums[a:a + _TILE] = w[keep] @ K
     return tiles.unsort(sums)
 
@@ -198,13 +187,13 @@ def se_self_rowsums(tiles):
     return tiles.unsort(sums)
 
 
-def _se_tile(A, B, inv_two_sigma2, buf, lowest=None):
+def _se_tile(A, B, inv_two_sigma2, buf):
     """exp(-inv_two_sigma2 * sum_a (A[a,i] - B[a,j])^2) into a view of buf.
 
     A and B hold one coordinate per row. The distances are exactly
     symmetric with an exactly zero diagonal, so a tile against itself has
-    ones on its diagonal. With ``lowest``, exponents below it are raised
-    to it first.
+    ones on its diagonal. Exponents below _LOWEST_EXPONENT are raised to
+    it first.
     """
     K = buf[0, :A.shape[1], :B.shape[1]]
     t = buf[1, :A.shape[1], :B.shape[1]]
@@ -215,8 +204,7 @@ def _se_tile(A, B, inv_two_sigma2, buf, lowest=None):
         np.multiply(t, t, out=t)
         np.add(K, t, out=K)
     np.multiply(K, -inv_two_sigma2, out=K)
-    if lowest is not None:
-        np.maximum(K, lowest, out=K)
+    np.maximum(K, _LOWEST_EXPONENT, out=K)
     return np.exp(K, out=K)
 
 
@@ -227,7 +215,8 @@ def imq_stein_gram(Y, S, c2, ell2, beta):
     k0 = s(x)'s(y) k + s(x)'grad_y k + s(y)'grad_x k + tr(grad_x grad_y k).
     """
     d = Y.shape[1]
-    D = sym_sq_dists(Y)
+    D = cross_sq_dists(Y, Y)
+    np.fill_diagonal(D, 0.0)
     u = c2 + D / ell2
     k = u**beta
     ku1 = beta * u ** (beta - 1.0)

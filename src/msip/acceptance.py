@@ -20,11 +20,9 @@ from . import kernel as kern
 from ._backend import imq_stein_gram
 from .dynamics import (
     MsipParams,
-    msip_map,
     msip_step,
     objective,
     objective_gradient,
-    optimal_weights,
 )
 from .embeddings import estimate_embeddings, mc_inner_quadrature
 from .harness import parse_config, run_experiment, write_outputs
@@ -126,13 +124,13 @@ def invariance_suite(offsets=(-40.0, 40.0), M=12, seed=101):
     for target, sigma, center, spread in cases:
         Y = center + spread * rng.standard_normal((M, target.dim))
         for est, q, gamma in variants:
-            p = MsipParams(kernel=KernelSpec(sigma, 1e-6), estimator=est,
-                           Q=q, gamma=gamma, seed=seed)
-            base = msip_map(Y, target, p, iteration=0)
+            # eta = 1 without bounds: the step is the map Psi itself
+            p = MsipParams(kernel=KernelSpec(sigma, 1e-6), eta=1.0,
+                           estimator=est, Q=q, gamma=gamma, seed=seed)
+            base = msip_step(Y, target, p)[0]
             scale = max(float(np.linalg.norm(base)), 1e-30)
             for off in offsets:
-                shifted = msip_map(Y, target.with_offset(off), p,
-                                   iteration=0)
+                shifted = msip_step(Y, target.with_offset(off), p)[0]
                 worst = max(
                     worst, float(np.linalg.norm(shifted - base)) / scale
                 )
@@ -337,7 +335,7 @@ def criterion_7():
     v0 = k_atoms @ masses
     v1 = k_atoms @ (masses[:, None] * atoms)
     G = kern.gram(Y, p.kernel)
-    w = optimal_weights(G, v0)
+    w = kern.solve(G, v0)
     grad = (w[:, None] * (G.entries @ (w[:, None] * Y) - v1)) / sigma**2
     fro = float(np.linalg.norm(grad))
     ok = change <= 1e-8 and fro <= 1e-6
@@ -360,7 +358,7 @@ def criterion_8():
     rng = np.random.default_rng(3)
     Y = rng.uniform(0.0, 7.5, size=(25, 2))
     p0 = MsipParams(kernel=KernelSpec(sigma, 0.0), estimator="analytic")
-    w = optimal_weights(kern.gram(Y, p0.kernel), gmm_v0(t, Y, sigma))
+    w = kern.solve(kern.gram(Y, p0.kernel), gmm_v0(t, Y, sigma))
     lhs = mmd2_vs_gmm(Y, w, t, sigma)
     rhs = 2.0 * objective(Y, target, p0)
     identity_gap = abs(lhs - rhs)

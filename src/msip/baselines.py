@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import softmax
 
-from ._backend import sym_se_matrix, sym_sq_dists
+from ._backend import cross_sq_dists, sym_se_matrix
 from .dynamics import ParticleConfiguration, iterate
 from .errors import DegenerateConsensusError
 
@@ -84,7 +84,8 @@ def median_bandwidth(Y):
     M = Y.shape[0]
     if M < 2:
         return 1.0
-    D = sym_sq_dists(np.asarray(Y, dtype=float))
+    Y = np.asarray(Y, dtype=float)
+    D = cross_sq_dists(Y, Y)
     iu = np.triu_indices(M, k=1)
     med = float(np.median(D[iu]))
     return max(med / (2.0 * math.log(M + 1.0)), _BANDWIDTH_FLOOR)

@@ -2,9 +2,12 @@
 
 One step maps a configuration Y through Psi(Y) = W^{-1} K_lambda^{-1} v1(Y)
 with W = diag(K_lambda^{-1} v0(Y)), damped by eta and clamped to an
-optional bounds box. Weights that underflow the representable range mark a
-particle degenerate: the map refuses to move it (the runner freezes it for
-the iteration and continues, reporting the frozen indices).
+optional bounds box. ``msip_step`` is the one implementation of the map:
+with eta = 1 and no bounds it returns Psi(Y) itself, and the weights
+come from ``kernel.solve``, the one weight solve. Weights that underflow
+the representable range mark a particle degenerate: the map refuses to
+move it (the runner freezes it for the iteration and continues, reporting
+the frozen indices).
 
 ``iterate`` is the one run loop of the library: run_msip here and the
 SVGD and CBS runners in ``baselines`` each pass it their step.
@@ -81,17 +84,24 @@ def _inner_rule(p, d, iteration):
     return mc_inner_quadrature(p.Q, d, [p.seed, 1, iteration])
 
 
-def optimal_weights(G, v0_hat):
-    """Regularized quadrature weights w = (K + lambda I)^{-1} v0."""
-    return kern.solve(G, np.asarray(v0_hat, dtype=float))
+def msip_step(Y, t, p, iteration=0, degenerate="raise"):
+    """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
 
-
-def _map_parts(Y, t, p, iteration, degenerate):
+    Psi(Y) solves K_lambda w = v0 and K_lambda Z = v1 and divides row i
+    of Z by w_i; with eta = 1 and no bounds the step returns Psi(Y), as
+    0 * Y + 1 * Psi(Y) adds no rounding. Returns (Y_next, w,
+    diagnostics). A particle whose |w_i| underflows WEIGHT_FLOOR is
+    degenerate: degenerate="raise" raises DegenerateWeightError naming
+    such particles, degenerate="freeze" keeps them in place for this
+    iteration and reports their indices in the diagnostics. A non-finite
+    Psi raises DivergedRunError.
+    """
+    Y = np.asarray(Y, dtype=float)
     est = estimate_embeddings(t, Y, p.kernel.sigma,
                               _inner_rule(p, Y.shape[1], iteration),
                               p.estimator, gamma=p.gamma)
     G = kern.gram(Y, p.kernel)
-    w = optimal_weights(G, est.v0_hat)
+    w = kern.solve(G, est.v0_hat)
     frozen = np.abs(w) < WEIGHT_FLOOR
     if frozen.any() and degenerate == "raise":
         raise DegenerateWeightError(np.nonzero(frozen)[0].tolist())
@@ -109,29 +119,6 @@ def _map_parts(Y, t, p, iteration, degenerate):
             f"non-finite map output for particle(s) "
             f"{np.nonzero(bad)[0].tolist()} at iteration {iteration}"
         )
-    return psi, w, frozen, est
-
-
-def msip_map(Y, t, p, iteration=0):
-    """Psi(Y): solve K_lambda Z = v1, divide row i by w_i.
-
-    Raises a degenerate-weight error naming the offending particles when
-    any |w_i| underflows; callers choose the policy (see run_msip).
-    """
-    Y = np.asarray(Y, dtype=float)
-    psi, _, _, _ = _map_parts(Y, t, p, iteration, degenerate="raise")
-    return psi
-
-
-def msip_step(Y, t, p, iteration=0, degenerate="raise"):
-    """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
-
-    degenerate="freeze" keeps underflowed particles in place for this
-    iteration instead of raising; the frozen index set is reported in the
-    diagnostics.
-    """
-    Y = np.asarray(Y, dtype=float)
-    psi, w, frozen, est = _map_parts(Y, t, p, iteration, degenerate)
     Y_next = (1.0 - p.eta) * Y + p.eta * psi
     if p.bounds is not None:
         np.clip(Y_next, p.bounds[0], p.bounds[1], out=Y_next)
@@ -190,7 +177,7 @@ def run_msip(t, p, Y0, callbacks=()):
     est = estimate_embeddings(t, Y, p.kernel.sigma,
                               _inner_rule(p, Y.shape[1], p.T),
                               p.estimator, gamma=p.gamma)
-    w = optimal_weights(kern.gram(Y, p.kernel), est.v0_hat)
+    w = kern.solve(kern.gram(Y, p.kernel), est.v0_hat)
     return ParticleConfiguration(Y=Y, w=w), {
         "density_evals": est.density_evals,
         "score_evals": est.score_evals,
@@ -215,7 +202,7 @@ def objective(Y, t, p):
     tn = normalized(t.analytic)
     sigma = p.kernel.sigma
     v0 = gmm_v0(tn, Y, sigma)
-    w = optimal_weights(kern.gram(Y, p.kernel), v0)
+    w = kern.solve(kern.gram(Y, p.kernel), v0)
     return 0.5 * (gmm_c_pi(tn, sigma) - float(w @ v0))
 
 
@@ -232,6 +219,6 @@ def objective_gradient(Y, t, p):
     v0 = gmm_v0(tn, Y, sigma)
     v1 = v0[:, None] * (Y + sigma**2 * gmm_grad_log_v0(tn, Y, sigma))
     G = kern.gram(Y, p.kernel)
-    w = optimal_weights(G, v0)
+    w = kern.solve(G, v0)
     WY = w[:, None] * Y
     return (w[:, None] * (G.entries @ WY - v1)) / sigma**2

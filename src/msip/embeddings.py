@@ -67,7 +67,6 @@ class EmbeddingEstimate:
 
     v0_hat: np.ndarray
     v1_hat: np.ndarray
-    estimator_tag: str
     density_evals: int
     score_evals: int
 
@@ -104,7 +103,7 @@ def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
         v0 = gmm_v0(t.analytic, Y, sigma) * math.exp(t.log_scale_offset)
         v1 = v0[:, None] * (Y + sigma**2
                             * gmm_grad_log_v0(t.analytic, Y, sigma))
-        return EmbeddingEstimate(v0, v1, estimator, 0, 0)
+        return EmbeddingEstimate(v0, v1, 0, 0)
     m, d = Y.shape
     if estimator == "fredholm":
         rule = one_point_rule(d)
@@ -141,4 +140,4 @@ def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
     else:
         v1 = gf if use_gf else stein
     n = m * rule.q
-    return EmbeddingEstimate(v0, v1, estimator, n, n if use_stein else 0)
+    return EmbeddingEstimate(v0, v1, n, n if use_stein else 0)

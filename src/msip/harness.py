@@ -514,14 +514,8 @@ def _run_trial(cfg, target, trial, ref_mmd):
         except NonNormalizableError:
             coverage = 0
 
-    report = MetricsReport(
-        algorithm=name,
-        target=cfg.target["name"],
-        seed=seed,
-        params=dict(cfg.algorithm["params"]),
-        rows=rec.rows,
-    )
-    return TrialResult(trial=trial, seed=seed, report=report, final=final,
+    return TrialResult(trial=trial, seed=seed,
+                       report=MetricsReport(rows=rec.rows), final=final,
                        status=rec.status, coverage=coverage)
 
 

@@ -2,14 +2,15 @@
 
 The Gram matrix of a particle configuration is assembled once (exactly
 symmetric, diagonal exactly 1 + lambda) and factorized lazily by Cholesky;
-every linear system in the library goes through :func:`solve`, which holds
-a 1e-10 relative-residual contract via one step of iterative refinement.
+every Gram system in the library, the quadrature weights
+w = K_lambda^{-1} v0 included, goes through :func:`solve`, which holds a
+1e-10 relative-residual contract via one step of iterative refinement.
 
 The SE matrix is built on its upper triangle in row blocks of 64 and
-mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix of the
-full-matrix formula exp(-D / (2 sigma^2)) with D mirrored from its upper
-triangle. Its entries are not bitwise permutation-equivariant, because
-BLAS rounds the inner products of Y @ Y.T by position, so
+mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix
+exp(-D / (2 sigma^2)) with D = ``_backend.cross_sq_dists(Y, Y)`` and the
+diagonal set to 1. Its entries are not bitwise permutation-equivariant,
+because BLAS rounds the inner products of Y @ Y.T by position, so
 ``test_permutation_conjugates_gram`` fails as it did before the blocks.
 The factor and the solves call LAPACK's dpotrf and dpotrs directly; they
 give the bits scipy's cho_factor and cho_solve give.

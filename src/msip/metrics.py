@@ -35,16 +35,12 @@ IMQ_BETA = -0.5
 
 @dataclass
 class MetricsReport:
-    """Per-iteration metric rows plus run metadata.
+    """Per-iteration metric rows of one trial.
 
     Rows are dicts {iteration, mmd2, ksd, loglik, wall_ms, density_evals,
     score_evals} ordered by iteration; unrequested metrics hold None.
     """
 
-    algorithm: str = ""
-    target: str = ""
-    seed: int = 0
-    params: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
 

@@ -91,23 +91,18 @@ def _data_bounds(Y):
     return center - half, center + half
 
 
-def emit_scatter_svg(pc, t, path, bounds=None):
+def emit_scatter_svg(pc, t, path):
     """Write an SVG of the configuration over the target density.
 
-    ``bounds`` is a scalar (lo, hi) box applied to both axes; when omitted
-    the particles' bounding box scaled by 1.2 is used. Only 2-D targets
-    are supported (no projection heuristics).
+    The plot shows the particles' bounding box scaled by 1.2. Only 2-D
+    targets are supported (no projection heuristics).
     """
     Y = np.asarray(pc.Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != 2:
         raise UnsupportedDimensionError(
             f"scatter plots need d == 2 configurations, got shape {Y.shape}"
         )
-    if bounds is not None:
-        lo = np.array([bounds[0], bounds[0]], dtype=float)
-        hi = np.array([bounds[1], bounds[1]], dtype=float)
-    else:
-        lo, hi = _data_bounds(Y)
+    lo, hi = _data_bounds(Y)
     wn = normalize_weights(pc.w)
     wmax = float(np.abs(wn).max()) or 1.0
 

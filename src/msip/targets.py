@@ -125,20 +125,6 @@ def _as_batch(x, dim):
     return x, False
 
 
-def gmm_log_density(t, x):
-    """log sum_k m_k N(x; mu_k, Sigma_k) via Cholesky whitening + LSE."""
-    X, single = _as_batch(x, t.dim)
-    logp, _ = _mixture(t, X, t._chols)
-    return logp[0] if single else logp
-
-
-def gmm_score(t, x):
-    """grad log density: -sum_k r_k(x) Sigma_k^{-1} (x - mu_k)."""
-    X, single = _as_batch(x, t.dim)
-    _, score = _mixture(t, X, t._chols, score=True)
-    return score[0] if single else score
-
-
 def _gmm_log_v0(t, y, sigma):
     Y, single = _as_batch(y, t.dim)
     logp, _ = _mixture(t, Y, t.blurred_chols(sigma))

@@ -10,7 +10,6 @@ from msip._backend import (
     imq_stein_gram,
     se_cross_rowsums,
     se_self_rowsums,
-    sym_sq_dists,
 )
 from msip.targets import make_benchmark, reference_samples
 
@@ -21,21 +20,28 @@ def brute_sq_dists(A, B):
     ])
 
 
+def _layouts():
+    """One 20 x 4 sample in four memory layouts. numpy forms Y @ Y.T with
+    a symmetric rank-k update for the first three and with its own loop
+    for the column-strided one."""
+    Y = 3.0 * np.random.default_rng(162).standard_normal((20, 4))
+    rows = np.zeros((40, 4))
+    rows[::2] = Y
+    cols = np.zeros((20, 8))
+    cols[:, ::2] = Y
+    return {"c-order": Y, "fortran-order": np.asfortranarray(Y),
+            "row-strided": rows[::2], "column-strided": cols[:, ::2]}
+
+
 class TestNumpyImplementations:
-    def test_sym_sq_dists_matches_brute_force(self):
-        rng = np.random.default_rng(161)
-        Y = rng.standard_normal((12, 3))
-        D = sym_sq_dists(Y)
+    @pytest.mark.parametrize("layout", list(_layouts()))
+    def test_cross_sq_dists_self_exactly_symmetric(self, layout):
+        Y = _layouts()[layout]
+        D = cross_sq_dists(Y, Y)
+        assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+        assert np.all(D >= 0.0)
         np.testing.assert_allclose(D, brute_sq_dists(Y, Y),
                                    rtol=1e-12, atol=1e-12)
-
-    def test_sym_sq_dists_exactly_symmetric_zero_diag(self):
-        rng = np.random.default_rng(162)
-        Y = rng.standard_normal((20, 4)) * 3.0
-        D = sym_sq_dists(Y)
-        assert np.array_equal(D, D.T)
-        assert np.all(np.diag(D) == 0.0)
-        assert np.all(D >= 0.0)
 
     def test_cross_sq_dists_matches_brute_force(self):
         rng = np.random.default_rng(163)

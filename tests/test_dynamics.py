@@ -11,7 +11,6 @@ from msip.dynamics import (
     ESTIMATORS,
     MsipParams,
     iterate,
-    msip_map,
     msip_step,
     objective,
     objective_gradient,
@@ -22,8 +21,9 @@ from msip.errors import (
     DegenerateWeightError,
     DivergedRunError,
 )
+from msip.embeddings import estimate_embeddings
 from msip.harness import build_params, parse_config
-from msip.kernel import KernelSpec
+from msip.kernel import KernelSpec, gram, solve
 from msip.targets import (
     GmmTarget,
     TargetDensity,
@@ -78,21 +78,23 @@ class TestMsipParams:
 
 
 class TestMap:
+    """The map Psi, as the step with eta = 1 and no bounds."""
+
     def test_single_gaussian_single_particle_value(self):
         # For a standard normal with M = 1, lam = 0, sigma = 1 the map is
         # the blurred posterior mean y / 2, so Psi(2) = 1.
-        p = params(kernel=KernelSpec(sigma=1.0, lam=0.0))
-        psi = msip_map(np.array([[2.0]]), STD_NORMAL, p)
+        p = params(kernel=KernelSpec(sigma=1.0, lam=0.0), eta=1.0)
+        psi, _, _ = msip_step(np.array([[2.0]]), STD_NORMAL, p)
         assert psi[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_equivariance(self):
         target = make_benchmark("gmm", 2, seed=3)
-        p = params()
+        p = params(eta=1.0)
         rng = np.random.default_rng(91)
         Y = rng.uniform(0.0, 7.5, size=(10, 2))
         perm = rng.permutation(10)
-        psi = msip_map(Y, target, p)
-        psi_p = msip_map(Y[perm], target, p)
+        psi, _, _ = msip_step(Y, target, p)
+        psi_p, _, _ = msip_step(Y[perm], target, p)
         np.testing.assert_allclose(psi_p, psi[perm], rtol=1e-10,
                                    atol=1e-12)
 
@@ -100,10 +102,10 @@ class TestMap:
         target = make_benchmark("gmm", 2, seed=3)
         Y = np.random.default_rng(92).uniform(0.0, 7.5, size=(8, 2))
         for estimator in ("analytic", "stein", "gf"):
-            p = params(estimator=estimator)
-            base = msip_map(Y, target, p)
+            p = params(estimator=estimator, eta=1.0)
+            base, _, _ = msip_step(Y, target, p)
             for c in (-40.0, 40.0):
-                shifted = msip_map(Y, target.with_offset(c), p)
+                shifted, _, _ = msip_step(Y, target.with_offset(c), p)
                 np.testing.assert_allclose(shifted, base, rtol=1e-10,
                                            atol=1e-12)
 
@@ -114,17 +116,21 @@ class TestMap:
             [[500.0, 500.0]],
         ])
         with pytest.raises(DegenerateWeightError) as info:
-            msip_map(Y, target, params())
+            msip_step(Y, target, params(eta=1.0))
         assert info.value.particles == [5]
         assert "particle(s) [5]" in str(info.value)
 
 
 class TestStep:
     def test_full_step_returns_map_output(self):
+        # Psi(Y) = Z / w with K_lambda w = v0 and K_lambda Z = v1
         target = make_benchmark("gmm", 2, seed=3)
         Y = np.random.default_rng(94).uniform(0.0, 7.5, size=(6, 2))
         p = params(eta=1.0)
-        psi = msip_map(Y, target, p)
+        est = estimate_embeddings(target, Y, p.kernel.sigma, None,
+                                  "analytic")
+        G = gram(Y, p.kernel)
+        psi = solve(G, est.v1_hat) / solve(G, est.v0_hat)[:, None]
         Y_next, _, _ = msip_step(Y, target, p)
         assert np.array_equal(Y_next, psi)
 
@@ -392,7 +398,7 @@ class TestObjective:
         with pytest.raises(AnalyticUnavailableError):
             objective_gradient(np.zeros((3, 2)), funnel, p)
         with pytest.raises(AnalyticUnavailableError):
-            msip_map(np.zeros((3, 2)), funnel, params(estimator="analytic"))
+            msip_step(np.zeros((3, 2)), funnel, params(estimator="analytic"))
 
 
 class TestDescentBehavior:

@@ -247,7 +247,6 @@ class TestCountersAndErrors:
             est = estimate_embeddings(target, Y, 0.5, rule, name,
                                       gamma=0.5)
             assert (est.density_evals, est.score_evals) == (de, se), name
-            assert est.estimator_tag == name
 
     def test_hybrid_gamma_zero_skips_scores(self):
         target = make_benchmark("gmm", 2, seed=8)

@@ -734,14 +734,6 @@ class TestScatterSvg:
         with pytest.raises(UnsupportedDimensionError, match="2"):
             emit_scatter_svg(pc, target, tmp_path / "bad.svg")
 
-    def test_fixed_bounds_accepted(self, tmp_path):
-        target = make_benchmark("gmm", 2, seed=0)
-        pc = self.make_pc()
-        a = emit_scatter_svg(pc, target, tmp_path / "auto.svg")
-        b = emit_scatter_svg(pc, target, tmp_path / "fixed.svg",
-                             bounds=(-10.0, 10.0))
-        assert Path(a).read_bytes() != Path(b).read_bytes()
-
 
 class TestWriteOutputs:
     def test_writes_configured_formats(self, tmp_path):

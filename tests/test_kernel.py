@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from msip._backend import sym_sq_dists
+from msip._backend import cross_sq_dists
 from msip.baselines import SvgdParams, svgd_step
 from msip.errors import SingularGramError
 from msip.kernel import (
@@ -263,9 +263,11 @@ GAUSSIAN = {d: TargetDensity(
 
 
 class TestBlockedAssembly:
-    """The blocked upper-triangle assembly against the full-matrix formula:
-    block edges at 64 rows, bandwidths whose kernels are all underflow or
-    all near 1, and rows that are not finite."""
+    """The blocked upper-triangle assembly, and the distances of
+    cross_sq_dists(Y, Y) with a zeroed diagonal, against the full-matrix
+    formula mirrored from its upper triangle: block edges at 64 rows,
+    bandwidths whose kernels are all underflow or all near 1, and rows
+    that are not finite."""
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=80)
@@ -287,7 +289,9 @@ class TestBlockedAssembly:
             K = np.exp(-D / (2.0 * sigma**2))
             G = K.copy()
             np.fill_diagonal(G, 1.0 + spec.lam)
-            assert_same_bits(sym_sq_dists(Y), D)
+            D_self = cross_sq_dists(Y, Y)
+            np.fill_diagonal(D_self, 0.0)
+            assert_same_bits(D_self, D)
             assert_same_bits(se_matrix(Y, sigma), K)
             assert_same_bits(gram(Y, spec).entries, G)
             median = 1.0 if M < 2 else max(

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from msip.dynamics import MsipParams, msip_step, objective, optimal_weights
+from msip.dynamics import MsipParams, msip_step, objective
 from msip.errors import NonNormalizableError
-from msip.kernel import KernelSpec, gram
+from msip.kernel import KernelSpec, gram, solve
 from msip.metrics import (
     IMQ_BETA,
     IMQ_C2,
@@ -75,8 +75,7 @@ class TestMmd2VsGmm:
         rng = np.random.default_rng(3)
         Y = rng.uniform(0.0, 7.5, size=(25, 2))
         p = MsipParams(kernel=KernelSpec(0.5, 0.0), estimator="analytic")
-        w = optimal_weights(gram(Y, p.kernel),
-                            gmm_v0(target.analytic, Y, 0.5))
+        w = solve(gram(Y, p.kernel), gmm_v0(target.analytic, Y, 0.5))
         assert mmd2_vs_gmm(Y, w, target.analytic, 0.5) == \
             2.0 * objective(Y, target, p)
 

@@ -17,8 +17,6 @@ from msip.targets import (
     from_gmm,
     gmm_c_pi,
     gmm_grad_log_v0,
-    gmm_log_density,
-    gmm_score,
     gmm_v0,
     make_benchmark,
     normalized,
@@ -57,7 +55,7 @@ def fd_gradient(f, x, h=1e-6):
 
 class TestGmmDensity:
     def test_standard_normal_at_origin(self):
-        val = gmm_log_density(STD_NORMAL_1D, np.array([0.0]))
+        val = from_gmm(STD_NORMAL_1D).log_density(np.array([0.0]))
         assert val == pytest.approx(-0.5 * math.log(2.0 * math.pi),
                                     rel=1e-12)
 
@@ -69,31 +67,32 @@ class TestGmmDensity:
             m * multivariate_normal(mean=mu, cov=C).pdf(X)
             for m, mu, C in zip(t.weights, t.means, t.covs)
         ))
-        np.testing.assert_allclose(gmm_log_density(t, X), naive, rtol=1e-10)
+        np.testing.assert_allclose(from_gmm(t).log_density(X), naive,
+                                   rtol=1e-10)
 
     def test_single_point_matches_batch(self):
         t = random_mixture(33)
         x = np.array([0.4, -1.1])
-        batch = gmm_log_density(t, x[None, :])
-        assert gmm_log_density(t, x) == batch[0]
+        batch = from_gmm(t).log_density(x[None, :])
+        assert from_gmm(t).log_density(x) == batch[0]
 
     def test_far_tail_stays_finite(self):
         t = random_mixture(34)
-        val = gmm_log_density(t, np.full(2, 1e3))
+        val = from_gmm(t).log_density(np.full(2, 1e3))
         assert np.isfinite(val) and val < -1e5
 
     def test_weight_scaling_shifts_log_density(self):
         t = random_mixture(35)
         t2 = GmmTarget(weights=2.0 * t.weights, means=t.means, covs=t.covs)
         x = np.array([0.3, 0.9])
-        assert gmm_log_density(t2, x) == pytest.approx(
-            gmm_log_density(t, x) + math.log(2.0), rel=1e-14
+        assert from_gmm(t2).log_density(x) == pytest.approx(
+            from_gmm(t).log_density(x) + math.log(2.0), rel=1e-14
         )
 
     def test_rejects_wrong_dimension(self):
         t = random_mixture(36)
         with pytest.raises(ValueError, match="dim"):
-            gmm_log_density(t, np.zeros(3))
+            from_gmm(t).log_density(np.zeros(3))
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
@@ -107,23 +106,24 @@ class TestGmmScore:
         rng = np.random.default_rng(42)
         for _ in range(20):
             x = rng.uniform(-3.0, 3.0, size=2)
-            fd = fd_gradient(lambda p: gmm_log_density(t, p), x)
-            np.testing.assert_allclose(gmm_score(t, x), fd,
+            fd = fd_gradient(lambda p: from_gmm(t).log_density(p), x)
+            np.testing.assert_allclose(from_gmm(t).score(x), fd,
                                        rtol=1e-5, atol=1e-7)
 
     def test_invariant_to_weight_scale(self):
         t = random_mixture(43)
         t4 = GmmTarget(weights=4.0 * t.weights, means=t.means, covs=t.covs)
         X = np.random.default_rng(44).standard_normal((10, 2))
-        np.testing.assert_allclose(gmm_score(t4, X), gmm_score(t, X),
+        np.testing.assert_allclose(from_gmm(t4).score(X),
+                                   from_gmm(t).score(X),
                                    rtol=1e-13)
 
     def test_finite_in_far_tail(self):
         t = random_mixture(45)
-        assert np.all(np.isfinite(gmm_score(t, np.full(2, 1e3))))
+        assert np.all(np.isfinite(from_gmm(t).score(np.full(2, 1e3))))
 
     def test_single_gaussian_closed_form(self):
-        s = gmm_score(STD_NORMAL_1D, np.array([1.7]))
+        s = from_gmm(STD_NORMAL_1D).score(np.array([1.7]))
         assert s[0] == pytest.approx(-1.7, rel=1e-13)
 
 
@@ -249,7 +249,8 @@ class TestEmbeddings:
         tn = normalized(t)
         assert tn.weights.sum() == pytest.approx(1.0, rel=1e-15)
         x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(gmm_score(tn, x), gmm_score(t, x),
+        np.testing.assert_allclose(from_gmm(tn).score(x),
+                                   from_gmm(t).score(x),
                                    rtol=1e-13)
 
     def test_v0_oracle_single_gaussian_closed_form(self):
