@@ -34,6 +34,33 @@ def _layouts():
 
 
 class TestNumpyImplementations:
+    def test_sym_sq_dists_matches_brute_force(self):
+        # The self distances are cross_sq_dists(Y, Y).
+        rng = np.random.default_rng(161)
+        Y = rng.standard_normal((12, 3))
+        D = cross_sq_dists(Y, Y)
+        np.testing.assert_allclose(D, brute_sq_dists(Y, Y),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_sym_sq_dists_exactly_symmetric_zero_diag(self, monkeypatch):
+        # The distances the Stein Gram works on: cross_sq_dists(Y, Y)
+        # with its diagonal set to 0 in place.
+        seen = []
+
+        def recording(A, B):
+            D = cross_sq_dists(A, B)
+            seen.append(D)
+            return D
+
+        monkeypatch.setattr(msip._backend, "cross_sq_dists", recording)
+        rng = np.random.default_rng(162)
+        Y = rng.standard_normal((20, 4)) * 3.0
+        imq_stein_gram(Y, rng.standard_normal((20, 4)), 1.0, 0.5, -0.5)
+        (D,) = seen
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+        assert np.all(D >= 0.0)
+
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_cross_sq_dists_self_exactly_symmetric(self, layout):
         Y = _layouts()[layout]
