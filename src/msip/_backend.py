@@ -1,7 +1,16 @@
 """Hot numerical kernels: distances, SE row sums and the IMQ Stein Gram.
 
-Plain numpy, deterministic run to run. Two properties are weaker than
-exact arithmetic would give:
+Plain numpy, deterministic run to run. The M x M matrices are finished
+in row blocks of 64 with in-place ufuncs, from the distances and inner
+products formed whole (a product of sub-blocks can round an entry
+differently). Each entry goes through the operations of the
+whole-matrix formula in the same order, so it keeps those bits, while
+only a few M x M arrays are live at a time. ``imq_stein_gram`` forms
+the score-difference products s(y_i).(y_i - y_j) by the same einsum
+per row block, over a 64 x M x d difference block, never the
+M x M x d tensor.
+
+Two properties are weaker than exact arithmetic would give:
 
 - the distance matrices are formed in the expanded form through BLAS
   by ``cross_sq_dists``, the one squared-distance routine. Among the
@@ -35,7 +44,7 @@ __all__ = [
 ]
 
 
-# Rows per block of the symmetric SE matrix.
+# Rows per block of the symmetric SE matrix and of the IMQ Stein Gram.
 _BLOCK = 64
 
 
@@ -73,8 +82,8 @@ def sym_se_matrix(Y, neg_c):
 def cross_sq_dists(A, B):
     """Squared distances between rows of A (n) and rows of B (m), n x m.
 
-    Expanded form ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0 against
-    negative round-off. cross_sq_dists(Y, Y) is exactly symmetric: numpy
+    Expanded form (||a||^2 + ||b||^2) - 2<a,b>, clamped at 0 against
+    negative round-off, with two n x m arrays live. cross_sq_dists(Y, Y) is exactly symmetric: numpy
     forms Y @ Y.T with a symmetric rank-k update where the layout suits
     BLAS, and otherwise with its own loop, which takes the same products
     in the same order for (i, j) and (j, i). Its diagonal is only near 0.
@@ -85,7 +94,10 @@ def cross_sq_dists(A, B):
     """
     sa = np.einsum("ij,ij->i", A, A)
     sb = np.einsum("ij,ij->i", B, B)
-    D = sa[:, None] + sb[None, :] - 2.0 * (A @ B.T)
+    D = sa[:, None] + sb[None, :]
+    P = A @ B.T
+    P *= 2.0
+    np.subtract(D, P, out=D)
     np.maximum(D, 0.0, out=D)
     return D
 
@@ -213,20 +225,57 @@ def imq_stein_gram(Y, S, c2, ell2, beta):
 
     k(x,y) = (c2 + ||x-y||^2 / ell2)^beta, S holds score rows s(y_i);
     k0 = s(x)'s(y) k + s(x)'grad_y k + s(y)'grad_x k + tr(grad_x grad_y k).
+
+    With D the distances and sdiff[i,j] = s(y_i).(y_i - y_j), entry (i, j)
+    is ((ss k) + cross) + trace, where ss = S S', u = c2 + D/ell2,
+    k = u^beta, ku1 = beta u^(beta-1) and
+    cross = (-(2/ell2) ku1) (sdiff + sdiff'),
+    trace = ((-4 beta (beta-1)) u^(beta-2) D) / ell2^2 - (2d ku1) / ell2.
+    D = cross_sq_dists(Y, Y), its diagonal set to 0, and ss are formed
+    whole, since products of sub-blocks can round differently. sdiff is
+    formed in row blocks of 64 by the same einsum, over an (n, M, d)
+    difference block: each entry's reduction over the d coordinates is
+    unchanged. The rest is computed per row block in three reused n x M
+    buffers with in-place ufuncs, each entry seeing the operands of the
+    formula above in its order, and summed into the rows of ss. So the
+    result has the bits of the whole-matrix formula, and holds no
+    M x M x d array and about four M x M ones at a time.
     """
-    d = Y.shape[1]
+    M, d = Y.shape
     D = cross_sq_dists(Y, Y)
     np.fill_diagonal(D, 0.0)
-    u = c2 + D / ell2
-    k = u**beta
-    ku1 = beta * u ** (beta - 1.0)
-    diff = Y[:, None, :] - Y[None, :, :]
-    ss = S @ S.T
     # sdiff[i,j] = s(y_i).(y_i - y_j); grad_x k = 2*ku1*(x-y)/ell2 = -grad_y k
-    sdiff = np.einsum("ik,ijk->ij", S, diff)
-    cross = -(2.0 / ell2) * ku1 * (sdiff + sdiff.T)
-    trace = (
-        -4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * D / ell2**2
-        - 2.0 * d * ku1 / ell2
-    )
-    return ss * k + cross + trace
+    sdiff = np.empty((M, M))
+    for a in range(0, M, _BLOCK):
+        b = min(a + _BLOCK, M)
+        np.einsum("ik,ijk->ij", S[a:b], Y[a:b, None, :] - Y[None, :, :],
+                  out=sdiff[a:b])
+    K0 = S @ S.T
+    buf = np.empty((3, min(_BLOCK, M), M))
+    c_trace = -4.0 * beta * (beta - 1.0)
+    c_cross = -(2.0 / ell2)
+    for a in range(0, M, _BLOCK):
+        b = min(a + _BLOCK, M)
+        u, k, ku1 = buf[:, :b - a]
+        Db, out = D[a:b], K0[a:b]
+        np.divide(Db, ell2, out=u)
+        np.add(c2, u, out=u)
+        np.power(u, beta, out=k)
+        np.multiply(out, k, out=out)
+        np.power(u, beta - 1.0, out=ku1)
+        np.multiply(beta, ku1, out=ku1)
+        # trace, into u; k is scratch from here on
+        np.power(u, beta - 2.0, out=u)
+        np.multiply(c_trace, u, out=u)
+        np.multiply(u, Db, out=u)
+        np.divide(u, ell2**2, out=u)
+        np.multiply(2.0 * d, ku1, out=k)
+        np.divide(k, ell2, out=k)
+        np.subtract(u, k, out=u)
+        # cross, into ku1
+        np.multiply(c_cross, ku1, out=ku1)
+        np.add(sdiff[a:b], sdiff.T[a:b], out=k)
+        np.multiply(ku1, k, out=ku1)
+        np.add(out, ku1, out=out)
+        np.add(out, u, out=out)
+    return K0

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from ._backend import cross_sq_dists, sym_se_matrix
 from .dynamics import ParticleConfiguration, iterate
@@ -136,7 +135,11 @@ def consensus_point(Y, t, p):
             "all consensus weights vanished (log-density -inf at every "
             "particle)"
         )
-    alpha = softmax(p.beta * logp)
+    # softmax, shifted by its largest exponent: the operations of
+    # scipy.special.softmax, without loading scipy.special
+    x = p.beta * logp
+    e = np.exp(x - np.max(x, keepdims=True))
+    alpha = e / np.sum(e, keepdims=True)
     return alpha @ Y
 
 

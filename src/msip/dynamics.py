@@ -87,8 +87,8 @@ def _inner_rule(p, d, iteration):
 def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
 
-    Psi(Y) solves K_lambda w = v0 and K_lambda Z = v1 and divides row i
-    of Z by w_i; with eta = 1 and no bounds the step returns Psi(Y), as
+    Psi(Y) solves K_lambda w = v0 and K_lambda Z = v1 (one
+    ``kernel.solve`` of both blocks) and divides row i of Z by w_i; with eta = 1 and no bounds the step returns Psi(Y), as
     0 * Y + 1 * Psi(Y) adds no rounding. Returns (Y_next, w,
     diagnostics). A particle whose |w_i| underflows WEIGHT_FLOOR is
     degenerate: degenerate="raise" raises DegenerateWeightError naming
@@ -101,11 +101,10 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
                               _inner_rule(p, Y.shape[1], iteration),
                               p.estimator, gamma=p.gamma)
     G = kern.gram(Y, p.kernel)
-    w = kern.solve(G, est.v0_hat)
+    w, Z = kern.solve(G, est.v0_hat, est.v1_hat)
     frozen = np.abs(w) < WEIGHT_FLOOR
     if frozen.any() and degenerate == "raise":
         raise DegenerateWeightError(np.nonzero(frozen)[0].tolist())
-    Z = kern.solve(G, est.v1_hat)
     wsafe = np.where(frozen, 1.0, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         psi = Z / wsafe[:, None]

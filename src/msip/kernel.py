@@ -5,6 +5,9 @@ symmetric, diagonal exactly 1 + lambda) and factorized lazily by Cholesky;
 every Gram system in the library, the quadrature weights
 w = K_lambda^{-1} v0 included, goes through :func:`solve`, which holds a
 1e-10 relative-residual contract via one step of iterative refinement.
+Several right-hand sides of one Gram matrix, such as the MSIP step's
+[v0 | v1], share one triangular solve per pass and keep the bits of
+their separate solves.
 
 The SE matrix is built on its upper triangle in row blocks of 64 and
 mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix
@@ -139,24 +142,38 @@ def _singular_message(G):
     return msg
 
 
-def solve(G, B):
-    """Solve (K + lambda I) X = B with the cached Cholesky factor.
+def solve(G, *blocks):
+    """Solve (K + lambda I) X = B for each right-hand-side block B.
 
-    One iterative-refinement step keeps the relative residual at or below
-    1e-10 even for condition numbers near 1/lambda.
+    One iterative-refinement step keeps each block's relative residual at
+    or below 1e-10 even for condition numbers near 1/lambda. The blocks
+    (vectors or M x k matrices) are stacked side by side for one dpotrs
+    per pass; dpotrs gives each column the same bits whatever columns sit
+    beside it. Each block's residual is formed on its own, a vector's by a
+    matrix-vector product, so every solution has the bits of a solve of
+    its block alone. Returns the solution of a single block, or a tuple
+    of the blocks' solutions.
     """
-    B = np.asarray(B, dtype=float)
+    Bs = [np.asarray(B, dtype=float) for B in blocks]
     L = _factor(G)
-    X = dpotrs(L, B, lower=1)[0]
-    R = B - G.entries @ X
-    X = X + dpotrs(L, R, lower=1)[0]
+    ends = np.cumsum([B.size // len(B) for B in Bs])
+
+    def dpotrs_blocks(Rs):
+        X = dpotrs(L, np.column_stack(Rs), lower=1)[0]
+        return [X[:, b - B.size // len(B):b].reshape(B.shape)
+                for B, b in zip(Bs, ends)]
+
+    Xs = dpotrs_blocks(Bs)
+    Rs = [B - G.entries @ X for B, X in zip(Bs, Xs)]
+    Xs = [X + C for X, C in zip(Xs, dpotrs_blocks(Rs))]
     if CHECK_RESIDUALS:
-        num = np.linalg.norm(B - G.entries @ X)
-        den = np.linalg.norm(B)
-        # contract applies to well-posed systems only; non-finite inputs
-        # propagate to the caller's divergence handling untouched
-        if den > 0 and math.isfinite(den) and not num <= 1e-10 * den:
-            raise AssertionError(
-                f"solve residual contract violated: {num / den:.3e}"
-            )
-    return X
+        for B, X in zip(Bs, Xs):
+            num = np.linalg.norm(B - G.entries @ X)
+            den = np.linalg.norm(B)
+            # contract applies to well-posed systems only; non-finite
+            # inputs propagate to the caller's divergence handling untouched
+            if den > 0 and math.isfinite(den) and not num <= 1e-10 * den:
+                raise AssertionError(
+                    f"solve residual contract violated: {num / den:.3e}"
+                )
+    return Xs[0] if len(Xs) == 1 else tuple(Xs)

@@ -1,5 +1,7 @@
 """The numerical kernels against brute-force references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,45 @@ def brute_sq_dists(A, B):
     return np.array([
         [float(np.sum((a - b) ** 2)) for b in B] for a in A
     ])
+
+
+def expanded_sq_dists(A, B):
+    """The expanded-form distances as one expression, with its temporaries."""
+    sa = np.einsum("ij,ij->i", A, A)
+    sb = np.einsum("ij,ij->i", B, B)
+    D = sa[:, None] + sb[None, :] - 2.0 * (A @ B.T)
+    np.maximum(D, 0.0, out=D)
+    return D
+
+
+def whole_stein_gram(Y, S, c2, ell2, beta):
+    """The IMQ Stein Gram as whole-matrix expressions over the M x M x d
+    difference tensor: the reference the row-blocked one keeps the bits of."""
+    d = Y.shape[1]
+    D = expanded_sq_dists(Y, Y)
+    np.fill_diagonal(D, 0.0)
+    u = c2 + D / ell2
+    k = u**beta
+    ku1 = beta * u ** (beta - 1.0)
+    diff = Y[:, None, :] - Y[None, :, :]
+    ss = S @ S.T
+    sdiff = np.einsum("ik,ijk->ij", S, diff)
+    cross = -(2.0 / ell2) * ku1 * (sdiff + sdiff.T)
+    trace = (
+        -4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * D / ell2**2
+        - 2.0 * d * ku1 / ell2
+    )
+    return ss * k + cross + trace
+
+
+def traced_peak(f, *args):
+    """Peak bytes numpy and Python allocate during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _layouts():
@@ -202,3 +243,37 @@ class TestNumpyImplementations:
         S = rng.standard_normal((8, 2))
         K0 = imq_stein_gram(Y, S, 1.0, 0.5, -0.5)
         np.testing.assert_allclose(K0, K0.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("M", [1, 2, 63, 64, 65, 130, 400])
+    def test_imq_stein_gram_matches_whole_matrix_bits(self, M, d, order):
+        # Row blocks of 64: one partial block, one full, one full plus one
+        # row, several; Y in C and Fortran order.
+        rng = np.random.default_rng(1000 * M + d)
+        Y = np.asarray(2.0 * rng.standard_normal((M, d)), order=order)
+        S = rng.standard_normal((M, d))
+        for c2, ell2, beta in ((1.0, 0.5, -0.5), (0.7, 3.1, -1.5)):
+            K0 = imq_stein_gram(Y, S, c2, ell2, beta)
+            assert K0.shape == (M, M)
+            assert K0.tobytes() == whole_stein_gram(Y, S, c2, ell2,
+                                                    beta).tobytes()
+
+    @pytest.mark.parametrize("layout", list(_layouts()))
+    def test_cross_sq_dists_matches_expanded_expression_bits(self, layout):
+        Y = _layouts()[layout]
+        X = np.random.default_rng(171).standard_normal((7, 4))
+        for A, B in ((Y, Y), (Y, X), (X, Y)):
+            assert (cross_sq_dists(A, B).tobytes()
+                    == expanded_sq_dists(A, B).tobytes())
+
+    def test_traced_peaks_at_m400_d10(self):
+        # The whole-matrix Stein Gram peaks at 19 M x M arrays here; the
+        # row-blocked one holds D, sdiff, the result and three row blocks.
+        M, d = 400, 10
+        rng = np.random.default_rng(172)
+        Y = rng.standard_normal((M, d))
+        S = rng.standard_normal((M, d))
+        mm = M * M * 8
+        assert traced_peak(imq_stein_gram, Y, S, 1.0, 0.5, -0.5) <= 5 * mm
+        assert traced_peak(cross_sq_dists, Y, Y) <= 2.5 * mm

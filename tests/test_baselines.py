@@ -193,6 +193,25 @@ class TestConsensus:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("beta", [0.9, 1.0, 37.5, 1e4])
+    def test_weights_match_scipy_softmax_bits(self, beta):
+        # With Y the identity the consensus point is the weight vector.
+        softmax = pytest.importorskip("scipy.special").softmax
+        rng = np.random.default_rng(117)
+        for logp in (
+            np.array([-3.2, 0.7, -np.inf, 5.1, -1e3, 0.7000000001]),
+            np.array([-np.inf, -np.inf, 2.0]),
+            rng.normal(0.0, 50.0, size=40),
+            np.array([-7.5]),
+        ):
+            t = TargetDensity(
+                dim=logp.size,
+                base_log_density=lambda x, logp=logp: logp.copy(),
+            )
+            Y = np.eye(logp.size)
+            c = consensus_point(Y, t, CbsParams(beta=beta))
+            assert c.tobytes() == (softmax(beta * logp) @ Y).tobytes()
+
     def test_all_minus_inf_raises(self):
         nowhere = TargetDensity(
             dim=1,

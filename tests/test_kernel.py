@@ -317,6 +317,23 @@ class TestLapackPath:
             X = X + cho_solve(c, B - G.entries @ X, check_finite=False)
             assert solve(G, B).tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("M", [1, 25, 130, 400])
+    def test_stacked_blocks_match_single_solves_bits(self, M):
+        # [v0 | v1] in one dpotrs per pass gives each block the bits of
+        # its own solve.
+        rng = np.random.default_rng(33 + M)
+        Y = 3.0 * rng.standard_normal((M, 3))
+        G = gram(Y, KernelSpec(sigma=0.6, lam=1e-6))
+        v0 = G.entries @ rng.standard_normal(M)
+        v1 = G.entries @ rng.standard_normal((M, 3))
+        w, Z = solve(G, v0, v1)
+        assert w.shape == (M,) and Z.shape == (M, 3)
+        assert w.tobytes() == solve(G, v0).tobytes()
+        assert Z.tobytes() == solve(G, v1).tobytes()
+        Z2, w2, u = solve(G, v1, v0, v0[:, None])
+        assert Z2.tobytes() == Z.tobytes() and w2.tobytes() == w.tobytes()
+        assert u.shape == (M, 1)
+
     def test_singular_gram_names_closest_pair(self):
         rng = np.random.default_rng(32)
         Y = rng.standard_normal((100, 2))
