@@ -88,13 +88,14 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
 
     Psi(Y) solves K_lambda w = v0 and K_lambda Z = v1 (one
-    ``kernel.solve`` of both blocks) and divides row i of Z by w_i; with eta = 1 and no bounds the step returns Psi(Y), as
-    0 * Y + 1 * Psi(Y) adds no rounding. Returns (Y_next, w,
-    diagnostics). A particle whose |w_i| underflows WEIGHT_FLOOR is
-    degenerate: degenerate="raise" raises DegenerateWeightError naming
-    such particles, degenerate="freeze" keeps them in place for this
-    iteration and reports their indices in the diagnostics. A non-finite
-    Psi raises DivergedRunError.
+    ``kernel.solve`` of both blocks) and divides row i of Z by w_i; with
+    eta = 1 and no bounds the step returns Psi(Y), as 0 * Y + 1 * Psi(Y)
+    adds no rounding. Returns (Y_next, w, diagnostics). A particle whose
+    |w_i| underflows WEIGHT_FLOOR is degenerate: degenerate="raise"
+    raises DegenerateWeightError naming such particles,
+    degenerate="freeze" keeps them in place for this iteration and
+    reports their indices in the diagnostics. A non-finite Psi raises
+    DivergedRunError.
     """
     Y = np.asarray(Y, dtype=float)
     est = estimate_embeddings(t, Y, p.kernel.sigma,

@@ -156,12 +156,18 @@ def solve(G, *blocks):
     """
     Bs = [np.asarray(B, dtype=float) for B in blocks]
     L = _factor(G)
-    ends = np.cumsum([B.size // len(B) for B in Bs])
+    # the columns of each block: an index for a vector, a slice for a matrix
+    cols, k = [], 0
+    for B in Bs:
+        cols.append(k if B.ndim == 1 else slice(k, k + B.shape[1]))
+        k += 1 if B.ndim == 1 else B.shape[1]
 
     def dpotrs_blocks(Rs):
-        X = dpotrs(L, np.column_stack(Rs), lower=1)[0]
-        return [X[:, b - B.size // len(B):b].reshape(B.shape)
-                for B, b in zip(Bs, ends)]
+        R = np.empty((len(Bs[0]), k), order="F")
+        for c, Rb in zip(cols, Rs):
+            R[:, c] = Rb
+        X = dpotrs(L, R, lower=1, overwrite_b=1)[0]
+        return [X[:, c] for c in cols]
 
     Xs = dpotrs_blocks(Bs)
     Rs = [B - G.entries @ X for B, X in zip(Bs, Xs)]
