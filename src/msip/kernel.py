@@ -161,20 +161,17 @@ def solve(G, *blocks):
     for B in Bs:
         cols.append(k if B.ndim == 1 else slice(k, k + B.shape[1]))
         k += 1 if B.ndim == 1 else B.shape[1]
-
-    def dpotrs_blocks(Rs):
-        R = np.empty((len(Bs[0]), k), order="F")
-        for c, Rb in zip(cols, Rs):
-            R[:, c] = Rb
-        X = dpotrs(L, R, lower=1, overwrite_b=1)[0]
-        return [X[:, c] for c in cols]
-
-    Xs = dpotrs_blocks(Bs)
-    Rs = [B - G.entries @ X for B, X in zip(Bs, Xs)]
-    Xs = [X + C for X, C in zip(Xs, dpotrs_blocks(Rs))]
+    R = np.empty((len(Bs[0]), k), order="F")
+    for c, B in zip(cols, Bs):
+        R[:, c] = B
+    X = dpotrs(L, R, lower=1)[0]
+    for c, B in zip(cols, Bs):
+        R[:, c] = B - G.entries @ X[:, c]
+    X += dpotrs(L, R, lower=1, overwrite_b=1)[0]
+    Xs = [X[:, c] for c in cols]
     if CHECK_RESIDUALS:
-        for B, X in zip(Bs, Xs):
-            num = np.linalg.norm(B - G.entries @ X)
+        for B, Xb in zip(Bs, Xs):
+            num = np.linalg.norm(B - G.entries @ Xb)
             den = np.linalg.norm(B)
             # contract applies to well-posed systems only; non-finite
             # inputs propagate to the caller's divergence handling untouched
