@@ -83,10 +83,11 @@ def cross_sq_dists(A, B):
     """Squared distances between rows of A (n) and rows of B (m), n x m.
 
     Expanded form (||a||^2 + ||b||^2) - 2<a,b>, clamped at 0 against
-    negative round-off, with two n x m arrays live. cross_sq_dists(Y, Y) is exactly symmetric: numpy
-    forms Y @ Y.T with a symmetric rank-k update where the layout suits
-    BLAS, and otherwise with its own loop, which takes the same products
-    in the same order for (i, j) and (j, i). Its diagonal is only near 0.
+    negative round-off, with two n x m arrays live. cross_sq_dists(Y, Y)
+    is exactly symmetric: numpy forms Y @ Y.T with a symmetric rank-k
+    update where the layout suits BLAS, and otherwise with its own loop,
+    which takes the same products in the same order for (i, j) and
+    (j, i). Its diagonal is only near 0.
     It is not permutation-equivariant: BLAS rounds <y_i, y_j> according
     to where the pair sits in Y @ Y.T, so the distances of a permuted Y
     can differ from the permuted distances in the last bit, and so can
