@@ -58,7 +58,7 @@ from .harness import (
     summarize,
     write_outputs,
 )
-from .kernel import GramMatrix, KernelSpec, gram, log_omega, omega, se_kernel
+from .kernel import KernelSpec, gram, log_omega, omega, se_kernel
 from .metrics import (
     MetricsReport,
     SampleMmd,
@@ -75,8 +75,8 @@ from .targets import (
     TargetDensity,
     from_gmm,
     gmm_c_pi,
-    gmm_grad_log_v0,
     gmm_v0,
+    gmm_v0_and_shift,
     make_benchmark,
     reference_samples,
 )

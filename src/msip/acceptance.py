@@ -31,8 +31,8 @@ from .metrics import SampleMmd, mmd2_vs_gmm
 from .targets import (
     GmmTarget,
     from_gmm,
-    gmm_grad_log_v0,
     gmm_v0,
+    gmm_v0_and_shift,
     make_benchmark,
     reference_samples,
 )
@@ -163,8 +163,7 @@ def criterion_3():
 
     est_gf = estimate_embeddings(target, probes, sigma, rule, "gf")
     est_st = estimate_embeddings(target, probes, sigma, rule, "stein")
-    v0_exact = gmm_v0(t, probes, sigma)
-    ratio_exact = probes + sigma**2 * gmm_grad_log_v0(t, probes, sigma)
+    v0_exact, ratio_exact = gmm_v0_and_shift(t, probes, sigma)
 
     flat = (probes[:, None, :] + sigma * rule.nodes[None, :, :]).reshape(-1, 2)
     dens = np.exp(target.log_density(flat)).reshape(20, q)
@@ -336,7 +335,7 @@ def criterion_7():
     v1 = k_atoms @ (masses[:, None] * atoms)
     G = kern.gram(Y, p.kernel)
     w = kern.solve(G, v0)
-    grad = (w[:, None] * (G.entries @ (w[:, None] * Y) - v1)) / sigma**2
+    grad = (w[:, None] * (G @ (w[:, None] * Y) - v1)) / sigma**2
     fro = float(np.linalg.norm(grad))
     ok = change <= 1e-8 and fro <= 1e-6
     return _finish(

@@ -17,14 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ParticleConfiguration
+from .dynamics import MsipParams, ParticleConfiguration
 from .errors import ConfigError, MsipError
-from .harness import (
-    _MSIP_ESTIMATOR,
-    parse_config,
-    run_experiment,
-    write_outputs,
-)
+from .harness import build_params, parse_config, run_experiment, write_outputs
 from .svgplot import emit_scatter_svg
 from .targets import make_benchmark
 
@@ -149,7 +144,7 @@ def _cmd_grad_check(args):
             "embeddings required)"
         )
     params = cfg.algorithm["params"]
-    if cfg.algorithm["name"] not in _MSIP_ESTIMATOR:
+    if not isinstance(build_params(cfg, 0), MsipParams):
         raise ConfigError("grad-check needs an msip-* algorithm config")
     worst = gradient_check(
         target,

@@ -3,8 +3,11 @@
 One step maps a configuration Y through Psi(Y) = W^{-1} K_lambda^{-1} v1(Y)
 with W = diag(K_lambda^{-1} v0(Y)), damped by eta and clamped to an
 optional bounds box. ``msip_step`` is the one implementation of the map:
-with eta = 1 and no bounds it returns Psi(Y) itself, and the weights
-come from ``kernel.solve``, the one weight solve. Weights that underflow
+with eta = 1 and no bounds it returns Psi(Y) itself. ``_weights`` is the
+one place where the system of a configuration is formed: it estimates the
+embeddings, assembles the Gram matrix and solves K_lambda w = v0 and
+K_lambda Z = v1 in one ``kernel.solve``, for the step and for the final
+weights of a run alike. Weights that underflow
 the representable range mark a particle degenerate: the map refuses to
 move it (the runner freezes it for the iteration and continues, reporting
 the frozen indices).
@@ -13,7 +16,8 @@ the frozen indices).
 SVGD and CBS runners in ``baselines`` each pass it their step.
 
 The penalized objective and its exact gradient are available for targets
-with analytic embeddings (Gaussian mixtures).
+with analytic embeddings (Gaussian mixtures); ``_analytic_system`` forms
+their system.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from .errors import (
     DivergedRunError,
 )
 from .kernel import KernelSpec
-from .targets import gmm_c_pi, gmm_grad_log_v0, gmm_v0, normalized
+from .targets import gmm_c_pi, gmm_v0, gmm_v0_and_shift, normalized
 
 # Only exact underflow is treated as degenerate; tiny representable weights
 # participate normally (their divisions may launch particles far out, which
@@ -84,11 +88,21 @@ def _inner_rule(p, d, iteration):
     return mc_inner_quadrature(p.Q, d, [p.seed, 1, iteration])
 
 
+def _weights(Y, t, p, iteration):
+    """(w, Z, est): the solutions of K_lambda w = v0 and K_lambda Z = v1 at
+    Y, from one ``kernel.solve`` of both blocks, and the embedding estimate
+    they read."""
+    est = estimate_embeddings(t, Y, p.kernel.sigma,
+                              _inner_rule(p, Y.shape[1], iteration),
+                              p.estimator, gamma=p.gamma)
+    w, Z = kern.solve(kern.gram(Y, p.kernel), est.v0_hat, est.v1_hat)
+    return w, Z, est
+
+
 def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
 
-    Psi(Y) solves K_lambda w = v0 and K_lambda Z = v1 (one
-    ``kernel.solve`` of both blocks) and divides row i of Z by w_i; with
+    Psi(Y) divides row i of Z by w_i, with w and Z from ``_weights``; with
     eta = 1 and no bounds the step returns Psi(Y), as 0 * Y + 1 * Psi(Y)
     adds no rounding. Returns (Y_next, w, diagnostics). A particle whose
     |w_i| underflows WEIGHT_FLOOR is degenerate: degenerate="raise"
@@ -98,11 +112,7 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     DivergedRunError.
     """
     Y = np.asarray(Y, dtype=float)
-    est = estimate_embeddings(t, Y, p.kernel.sigma,
-                              _inner_rule(p, Y.shape[1], iteration),
-                              p.estimator, gamma=p.gamma)
-    G = kern.gram(Y, p.kernel)
-    w, Z = kern.solve(G, est.v0_hat, est.v1_hat)
+    w, Z, est = _weights(Y, t, p, iteration)
     frozen = np.abs(w) < WEIGHT_FLOOR
     if frozen.any() and degenerate == "raise":
         raise DegenerateWeightError(np.nonzero(frozen)[0].tolist())
@@ -174,17 +184,35 @@ def run_msip(t, p, Y0, callbacks=()):
         return msip_step(Y, t, p, iteration=it, degenerate="freeze")
 
     Y = iterate(step, Y0, p.T, callbacks)
-    est = estimate_embeddings(t, Y, p.kernel.sigma,
-                              _inner_rule(p, Y.shape[1], p.T),
-                              p.estimator, gamma=p.gamma)
-    w = kern.solve(kern.gram(Y, p.kernel), est.v0_hat)
-    return ParticleConfiguration(Y=Y, w=w), {
+    w, _, est = _weights(Y, t, p, p.T)
+    # w is a column of the stacked solution [w | Z]; a copy keeps the
+    # result, which callers hold on to, from holding Z as well
+    return ParticleConfiguration(Y=Y, w=w.copy()), {
         "density_evals": est.density_evals,
         "score_evals": est.score_evals,
     }
 
 
 # ----------------------------------------------------- objective and gradient
+
+
+def _analytic_system(Y, t, p, shift=False):
+    """(tn, v0, m, G, w) of the analytic objective at Y: the mixture tn
+    normalized to unit mass, its exact v0, the mean-shift points m (None
+    unless shift) from the same mixture pass, the Gram matrix G and the
+    solution w of G w = v0."""
+    if t.analytic is None:
+        raise AnalyticUnavailableError(
+            f"the objective needs analytic embeddings; target {t.name!r} "
+            "has none"
+        )
+    tn = normalized(t.analytic)
+    if shift:
+        v0, m = gmm_v0_and_shift(tn, Y, p.kernel.sigma)
+    else:
+        v0, m = gmm_v0(tn, Y, p.kernel.sigma), None
+    G = kern.gram(Y, p.kernel)
+    return tn, v0, m, G, kern.solve(G, v0)
 
 
 def objective(Y, t, p):
@@ -194,31 +222,14 @@ def objective(Y, t, p):
     internally so values are comparable with the evaluation metrics.
     """
     Y = np.asarray(Y, dtype=float)
-    if t.analytic is None:
-        raise AnalyticUnavailableError(
-            f"objective needs analytic embeddings; target {t.name!r} "
-            "has none"
-        )
-    tn = normalized(t.analytic)
-    sigma = p.kernel.sigma
-    v0 = gmm_v0(tn, Y, sigma)
-    w = kern.solve(kern.gram(Y, p.kernel), v0)
-    return 0.5 * (gmm_c_pi(tn, sigma) - float(w @ v0))
+    tn, v0, _, _, w = _analytic_system(Y, t, p)
+    return 0.5 * (gmm_c_pi(tn, p.kernel.sigma) - float(w @ v0))
 
 
 def objective_gradient(Y, t, p):
     """Exact gradient sigma^{-2} W (K_lambda W Y - v1) with analytic v0, v1."""
     Y = np.asarray(Y, dtype=float)
-    if t.analytic is None:
-        raise AnalyticUnavailableError(
-            f"objective gradient needs analytic embeddings; target "
-            f"{t.name!r} has none"
-        )
-    tn = normalized(t.analytic)
-    sigma = p.kernel.sigma
-    v0 = gmm_v0(tn, Y, sigma)
-    v1 = v0[:, None] * (Y + sigma**2 * gmm_grad_log_v0(tn, Y, sigma))
-    G = kern.gram(Y, p.kernel)
-    w = kern.solve(G, v0)
+    _, v0, m, G, w = _analytic_system(Y, t, p, shift=True)
+    v1 = v0[:, None] * m
     WY = w[:, None] * Y
-    return (w[:, None] * (G.entries @ WY - v1)) / sigma**2
+    return (w[:, None] * (G @ WY - v1)) / p.kernel.sigma**2

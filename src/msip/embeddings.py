@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteDensityError,
 )
 from .kernel import log_omega
-from .targets import gmm_grad_log_v0, gmm_v0
+from .targets import gmm_v0_and_shift
 
 ESTIMATORS = ("fredholm", "stein", "gf", "hybrid", "analytic")
 
@@ -100,9 +100,9 @@ def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
                 f"target {t.name or '<anonymous>'} has no analytic "
                 "embeddings"
             )
-        v0 = gmm_v0(t.analytic, Y, sigma) * math.exp(t.log_scale_offset)
-        v1 = v0[:, None] * (Y + sigma**2
-                            * gmm_grad_log_v0(t.analytic, Y, sigma))
+        v0, shifted = gmm_v0_and_shift(t.analytic, Y, sigma)
+        v0 = v0 * math.exp(t.log_scale_offset)
+        v1 = v0[:, None] * shifted
         return EmbeddingEstimate(v0, v1, 0, 0)
     m, d = Y.shape
     if estimator == "fredholm":

@@ -1,13 +1,13 @@
 """Squared-exponential kernel, Gram assembly, and regularized SPD solves.
 
-The Gram matrix of a particle configuration is assembled once (exactly
-symmetric, diagonal exactly 1 + lambda) and factorized lazily by Cholesky;
-every Gram system in the library, the quadrature weights
-w = K_lambda^{-1} v0 included, goes through :func:`solve`, which holds a
-1e-10 relative-residual contract via one step of iterative refinement.
-Several right-hand sides of one Gram matrix, such as the MSIP step's
-[v0 | v1], share one triangular solve per pass and keep the bits of
-their separate solves.
+The Gram matrix of a particle configuration is a plain array, assembled
+once (exactly symmetric, diagonal exactly 1 + lambda) and factorized by
+Cholesky in the solve that reads it; every Gram system in the library,
+the quadrature weights w = K_lambda^{-1} v0 included, goes through
+:func:`solve`, which holds a 1e-10 relative-residual contract via one
+step of iterative refinement. Several right-hand sides of one Gram
+matrix, such as the MSIP step's [v0 | v1], share one factor and one
+triangular solve per pass and keep the bits of their separate solves.
 
 The SE matrix is built on its upper triangle in row blocks of 64 and
 mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix
@@ -20,16 +20,13 @@ give the bits scipy's cho_factor and cho_solve give.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _backend
 from .errors import SingularGramError
-
-# When True every solve asserts its residual contract (enabled by tests).
-CHECK_RESIDUALS = False
 
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
@@ -73,19 +70,6 @@ def se_kernel(x, y, spec):
     return math.exp(-d2 / (2.0 * spec.sigma**2))
 
 
-@dataclass
-class GramMatrix:
-    """SE Gram matrix with lambda on the diagonal and a cached Cholesky."""
-
-    entries: np.ndarray
-    lambda_applied: float
-    _chol: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
 def se_matrix(Y, sigma):
     """Plain SE kernel matrix exp(-||y_i - y_j||^2 / (2 sigma^2)) of Y.
 
@@ -95,51 +79,35 @@ def se_matrix(Y, sigma):
 
 
 def gram(Y, spec):
-    """Assemble K(Y) + lambda I for the configuration Y (M x d)."""
+    """K(Y) + lambda I for the configuration Y (M x d), as an M x M array."""
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError(f"Y must be M x d with M >= 1, got shape {Y.shape}")
     K = se_matrix(Y, spec.sigma)
     np.fill_diagonal(K, 1.0 + spec.lam)
-    return GramMatrix(entries=K, lambda_applied=spec.lam, _chol=None)
+    return K
 
 
 def _factor(G):
     """Lower Cholesky factor of G (Fortran order, upper part not zeroed).
 
-    G.entries is exactly symmetric, so its transpose is the same matrix in
-    Fortran order and dpotrf copies it without transposing.
+    G is exactly symmetric, so its transpose is the same matrix in Fortran
+    order and dpotrf copies it without transposing. A failed factor raises
+    SingularGramError naming the closest particle pair: the largest
+    off-diagonal kernel value.
     """
-    if G._chol is None:
-        L, info = dpotrf(G.entries.T, lower=1, clean=0)
-        if info != 0:
-            raise SingularGramError(
-                _singular_message(G), index_pair=_closest_pair(G)
-            )
-        G._chol = L
-    return G._chol
-
-
-def _closest_pair(G):
-    K = G.entries
-    M = K.shape[0]
-    if M < 2:
-        return None
-    off = K - np.diag(np.diag(K))
-    i, j = divmod(int(np.argmax(off)), M)
-    return (min(i, j), max(i, j))
-
-
-def _singular_message(G):
-    pair = _closest_pair(G)
+    L, info = dpotrf(G.T, lower=1, clean=0)
+    if info == 0:
+        return L
     msg = "Gram matrix is not positive definite (Cholesky failed)"
-    if pair is not None:
-        msg += (
-            f"; closest particle pair is {pair} "
-            f"(kernel value {G.entries[pair]:.6g}, lambda="
-            f"{G.lambda_applied:g})"
-        )
-    return msg
+    M = G.shape[0]
+    pair = None
+    if M > 1:
+        i, j = divmod(int(np.argmax(G - np.diag(np.diag(G)))), M)
+        pair = (min(i, j), max(i, j))
+        msg += (f"; closest particle pair is {pair} (kernel value "
+                f"{G[pair]:.6g}, diagonal {G[i, i]:g})")
+    raise SingularGramError(msg, index_pair=pair)
 
 
 def solve(G, *blocks):
@@ -166,17 +134,7 @@ def solve(G, *blocks):
         R[:, c] = B
     X = dpotrs(L, R, lower=1)[0]
     for c, B in zip(cols, Bs):
-        R[:, c] = B - G.entries @ X[:, c]
+        R[:, c] = B - G @ X[:, c]
     X += dpotrs(L, R, lower=1, overwrite_b=1)[0]
     Xs = [X[:, c] for c in cols]
-    if CHECK_RESIDUALS:
-        for B, Xb in zip(Bs, Xs):
-            num = np.linalg.norm(B - G.entries @ Xb)
-            den = np.linalg.norm(B)
-            # contract applies to well-posed systems only; non-finite
-            # inputs propagate to the caller's divergence handling untouched
-            if den > 0 and math.isfinite(den) and not num <= 1e-10 * den:
-                raise AssertionError(
-                    f"solve residual contract violated: {num / den:.3e}"
-                )
     return Xs[0] if len(Xs) == 1 else tuple(Xs)

@@ -125,20 +125,15 @@ def _as_batch(x, dim):
     return x, False
 
 
-def _gmm_log_v0(t, y, sigma):
-    Y, single = _as_batch(y, t.dim)
-    logp, _ = _mixture(t, Y, t.blurred_chols(sigma))
-    return logp + log_omega(sigma, t.dim), single
-
-
 def gmm_v0(t, y, sigma):
     """Exact embedding omega * integral kappa(x,y) pi(x) dx for a mixture.
 
     Equals Z_sigma * sum_k m_k N(y; mu_k, Sigma_k + sigma^2 I); linear in
     the (possibly unnormalized) mixture weights.
     """
-    logv, single = _gmm_log_v0(t, y, sigma)
-    v = np.exp(logv)
+    Y, single = _as_batch(y, t.dim)
+    logp, _ = _mixture(t, Y, t.blurred_chols(sigma))
+    v = np.exp(logp + log_omega(sigma, t.dim))
     return v[0] if single else v
 
 
@@ -163,11 +158,16 @@ def gmm_c_pi(t, sigma):
     return math.exp(log_omega(sigma, d)) * total
 
 
-def gmm_grad_log_v0(t, y, sigma):
-    """grad log v0: responsibility-weighted -(Sigma_k + sigma^2 I)^{-1}(y-mu_k)."""
+def gmm_v0_and_shift(t, y, sigma):
+    """(v0, m) at y from one mixture pass: the exact embedding of gmm_v0
+    and the mean-shift point m(y) = y + sigma^2 grad log v0(y), where
+    grad log v0 is the responsibility-weighted
+    -(Sigma_k + sigma^2 I)^{-1}(y - mu_k). So v1 = v0 m."""
     Y, single = _as_batch(y, t.dim)
-    _, score = _mixture(t, Y, t.blurred_chols(sigma), score=True)
-    return score[0] if single else score
+    logp, score = _mixture(t, Y, t.blurred_chols(sigma), score=True)
+    v = np.exp(logp + log_omega(sigma, t.dim))
+    m = Y + sigma**2 * score
+    return (v[0], m[0]) if single else (v, m)
 
 
 # ------------------------------------------------------------- target wrapper

@@ -1,17 +1,35 @@
 """Session-wide test setup.
 
-Turns on the solver's residual self-check for every solve issued during
-the test run.
+Wraps ``msip.kernel.solve`` for the whole test run with its residual
+contract: for every finite, nonzero right-hand-side block B and its
+solution X, ||B - G X|| <= 1e-10 ||B||. The wrapper is installed when
+this file is imported, before any test module, so modules that import
+``solve`` by name get the checked one too.
 """
 
-import pytest
+import math
+
+import numpy as np
 
 import msip.kernel
 
+_solve = msip.kernel.solve
 
-@pytest.fixture(scope="session", autouse=True)
-def _strict_numerics():
-    previous = msip.kernel.CHECK_RESIDUALS
-    msip.kernel.CHECK_RESIDUALS = True
-    yield
-    msip.kernel.CHECK_RESIDUALS = previous
+
+def checked_solve(G, *blocks):
+    """``msip.kernel.solve`` that asserts each block's residual contract."""
+    out = _solve(G, *blocks)
+    for B, X in zip(blocks, out if len(blocks) > 1 else (out,)):
+        B = np.asarray(B, dtype=float)
+        num = np.linalg.norm(B - G @ X)
+        den = np.linalg.norm(B)
+        # the contract applies to well-posed systems only; non-finite
+        # inputs propagate to the caller's divergence handling untouched
+        if den > 0 and math.isfinite(den) and not num <= 1e-10 * den:
+            raise AssertionError(
+                f"solve residual contract violated: {num / den:.3e}"
+            )
+    return out
+
+
+msip.kernel.solve = checked_solve

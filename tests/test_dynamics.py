@@ -21,7 +21,7 @@ from msip.errors import (
     DegenerateWeightError,
     DivergedRunError,
 )
-from msip.embeddings import estimate_embeddings
+from msip.embeddings import estimate_embeddings, mc_inner_quadrature
 from msip.harness import build_params, parse_config
 from msip.kernel import KernelSpec, gram, solve
 from msip.targets import (
@@ -228,6 +228,22 @@ class TestRun:
         assert np.array_equal(
             final_a.w, msip_step(final_a.Y, target, p, iteration=p.T)[1]
         )
+
+    @pytest.mark.parametrize("estimator", ["fredholm", "gf"])
+    def test_final_weights_are_the_solve_of_v0_alone(self, estimator):
+        # The final solve at Y_T stacks v1 beside v0; w keeps the bits of
+        # the solve of v0 alone, with the inner rule of iteration T.
+        target = make_benchmark("gmm", 2, seed=3)
+        p = params(estimator=estimator, Q=5, T=6, seed=12)
+        final, _ = run_msip(target, p, reference_samples(target, 8, seed=96))
+        rule = None if estimator == "fredholm" \
+            else mc_inner_quadrature(p.Q, 2, [p.seed, 1, p.T])
+        v0 = estimate_embeddings(target, final.Y, p.kernel.sigma, rule,
+                                 estimator).v0_hat
+        assert final.w.tobytes() == solve(gram(final.Y, p.kernel),
+                                          v0).tobytes()
+        # and owns its memory, rather than viewing the stacked [w | Z]
+        assert final.w.base is None
 
     def test_positions_and_callbacks(self):
         target = make_benchmark("gmm", 2, seed=3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import msip.targets
 from msip.embeddings import (
     ESTIMATORS,
     InnerQuadrature,
@@ -23,8 +24,8 @@ from msip.errors import (
 from msip.kernel import omega
 from msip.targets import (
     TargetDensity,
-    gmm_grad_log_v0,
     gmm_v0,
+    gmm_v0_and_shift,
     make_benchmark,
 )
 
@@ -199,8 +200,8 @@ class TestMonteCarloConsistency:
         rule = mc_inner_quadrature(200_000, 2, rng_seed=76)
         est = estimate_embeddings(target, Y, sigma, rule, "stein")
         t = target.analytic
-        v0 = gmm_v0(t, Y, sigma)
-        v1 = v0[:, None] * (Y + sigma**2 * gmm_grad_log_v0(t, Y, sigma))
+        v0, m = gmm_v0_and_shift(t, Y, sigma)
+        v1 = v0[:, None] * m
         np.testing.assert_allclose(est.v1_hat, v1, rtol=0.05, atol=1e-4)
 
     def test_gf_and_stein_estimate_the_same_quantity(self):
@@ -312,8 +313,24 @@ class TestAnalytic:
         v0 = gmm_v0(t, Y, 0.5) * math.exp(1.5)
         assert np.array_equal(est.v0_hat, v0)
         assert np.array_equal(
-            est.v1_hat, v0[:, None] * (Y + 0.25 * gmm_grad_log_v0(t, Y, 0.5))
+            est.v1_hat, v0[:, None] * gmm_v0_and_shift(t, Y, 0.5)[1]
         )
+
+    def test_one_mixture_pass(self, monkeypatch):
+        # v0 and the mean-shift points come from one evaluation of the
+        # blurred mixture.
+        target = make_benchmark("gmm", 2, seed=8)
+        calls = []
+
+        def counted(t, X, chols, score=False):
+            calls.append((X.shape[0], score))
+            return mixture(t, X, chols, score)
+
+        mixture = msip.targets._mixture
+        monkeypatch.setattr(msip.targets, "_mixture", counted)
+        Y = np.random.default_rng(84).uniform(0.0, 7.5, size=(4, 2))
+        estimate_embeddings(target, Y, 0.5, None, "analytic")
+        assert calls == [(4, True)]
 
     def test_requires_a_mixture_target(self):
         with pytest.raises(AnalyticUnavailableError, match="funnel"):

@@ -2,17 +2,18 @@
 
 import math
 
+import conftest
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+import msip.kernel
 from msip._backend import cross_sq_dists
 from msip.baselines import SvgdParams, svgd_step
 from msip.errors import SingularGramError
 from msip.kernel import (
-    GramMatrix,
     KernelSpec,
     _factor,
     gram,
@@ -107,17 +108,16 @@ class TestSeKernel:
 class TestGram:
     def test_single_particle(self):
         G = gram(np.zeros((1, 3)), KernelSpec(sigma=1.0, lam=1e-6))
-        assert G.entries.shape == (1, 1)
-        assert G.entries[0, 0] == 1.0 + 1e-6
-        assert G.lambda_applied == 1e-6
+        assert G.shape == (1, 1)
+        assert G[0, 0] == 1.0 + 1e-6
 
     def test_diagonal_exact_and_symmetric(self):
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((30, 4))
         spec = KernelSpec(sigma=0.7, lam=1e-6)
         G = gram(Y, spec)
-        assert np.all(np.diag(G.entries) == 1.0 + spec.lam)
-        assert np.array_equal(G.entries, G.entries.T)
+        assert np.all(np.diag(G) == 1.0 + spec.lam)
+        assert np.array_equal(G, G.T)
 
     def test_is_plain_se_matrix_plus_lambda_diagonal(self):
         rng = np.random.default_rng(14)
@@ -125,7 +125,7 @@ class TestGram:
         off = ~np.eye(15, dtype=bool)
         for sigma in (0.3, 1.0, 2.7):
             spec = KernelSpec(sigma=sigma, lam=1e-6)
-            G = gram(Y, spec).entries
+            G = gram(Y, spec)
             K = se_matrix(Y, sigma)
             assert np.array_equal(G[off], K[off])
             assert np.all(np.diag(K) == 1.0)
@@ -138,7 +138,7 @@ class TestGram:
         G = gram(Y, spec)
         for i in range(8):
             for j in range(i + 1, 8):
-                assert G.entries[i, j] == pytest.approx(
+                assert G[i, j] == pytest.approx(
                     se_kernel(Y[i], Y[j], spec), rel=1e-13
                 )
 
@@ -147,8 +147,8 @@ class TestGram:
         Y = rng.standard_normal((12, 2))
         spec = KernelSpec(sigma=0.6)
         perm = rng.permutation(12)
-        G = gram(Y, spec).entries
-        Gp = gram(Y[perm], spec).entries
+        G = gram(Y, spec)
+        Gp = gram(Y[perm], spec)
         assert np.array_equal(Gp, G[np.ix_(perm, perm)])
 
     def test_rejects_bad_shapes(self):
@@ -165,7 +165,7 @@ class TestSolve:
         Y = rng.standard_normal((25, 3))
         G = gram(Y, KernelSpec(sigma=0.8, lam=1e-6))
         x0 = rng.standard_normal(25)
-        b = G.entries @ x0
+        b = G @ x0
         x = solve(G, b)
         assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
 
@@ -178,9 +178,9 @@ class TestSolve:
         Y = 1e-3 * rng.standard_normal((40, 2))
         G = gram(Y, KernelSpec(sigma=1.0, lam=1e-6))
         x_true = rng.standard_normal(40)
-        b = G.entries @ x_true
+        b = G @ x_true
         x = solve(G, b)
-        res = np.linalg.norm(b - G.entries @ x)
+        res = np.linalg.norm(b - G @ x)
         assert res <= 1e-10 * np.linalg.norm(b)
 
     def test_multi_column_right_hand_side(self):
@@ -192,16 +192,6 @@ class TestSolve:
         assert X.shape == (15, 4)
         cols = np.column_stack([solve(G, B[:, j]) for j in range(4)])
         np.testing.assert_allclose(X, cols, rtol=0, atol=1e-12)
-
-    def test_factor_cached_across_solves(self):
-        rng = np.random.default_rng(24)
-        Y = rng.standard_normal((10, 2))
-        G = gram(Y, KernelSpec(sigma=1.0))
-        solve(G, rng.standard_normal(10))
-        first = G._chol
-        assert first is not None
-        solve(G, rng.standard_normal(10))
-        assert G._chol is first
 
     def test_duplicate_particles_without_lambda_raise(self):
         Y = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
@@ -224,9 +214,20 @@ class TestSolve:
         b = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         np.testing.assert_allclose(solve(G, b), b / 1.5, rtol=1e-12)
 
-    def test_gram_matrix_dataclass_shape(self):
-        G = GramMatrix(entries=np.eye(3), lambda_applied=0.0)
-        assert G.shape == (3, 3)
+    def test_session_solves_are_residual_checked(self, monkeypatch):
+        # The test session runs every solve through the conftest check.
+        assert msip.kernel.solve is conftest.checked_solve
+        rng = np.random.default_rng(25)
+        G = gram(rng.standard_normal((10, 2)), KernelSpec(sigma=1.0))
+        b, B = rng.standard_normal(10), rng.standard_normal((10, 2))
+        w, Z = msip.kernel.solve(G, b, B)
+        monkeypatch.setattr(conftest, "_solve",
+                            lambda G, *blocks: (w, Z + 1e-6))
+        with pytest.raises(AssertionError, match="residual contract"):
+            msip.kernel.solve(G, b, B)
+        monkeypatch.setattr(conftest, "_solve", lambda G, b: 2.0 * w)
+        with pytest.raises(AssertionError, match="residual contract"):
+            msip.kernel.solve(G, b)
 
 
 # The full-matrix formula the blocked assembly replaced, kept as reference.
@@ -293,7 +294,7 @@ class TestBlockedAssembly:
             np.fill_diagonal(D_self, 0.0)
             assert_same_bits(D_self, D)
             assert_same_bits(se_matrix(Y, sigma), K)
-            assert_same_bits(gram(Y, spec).entries, G)
+            assert_same_bits(gram(Y, spec), G)
             median = 1.0 if M < 2 else max(
                 float(np.median(D[np.triu_indices(M, 1)]))
                 / (2.0 * math.log(M + 1.0)), 1e-12)
@@ -309,12 +310,12 @@ class TestLapackPath:
         rng = np.random.default_rng(31 + M)
         Y = 3.0 * rng.standard_normal((M, 3))
         G = gram(Y, KernelSpec(sigma=0.6, lam=1e-6))
-        c = cho_factor(G.entries, lower=True, check_finite=False)
+        c = cho_factor(G, lower=True, check_finite=False)
         assert _factor(G).tobytes(order="A") == c[0].tobytes(order="A")
         for shape in ((M,), (M, 3)):
-            B = G.entries @ rng.standard_normal(shape)
+            B = G @ rng.standard_normal(shape)
             X = cho_solve(c, B, check_finite=False)
-            X = X + cho_solve(c, B - G.entries @ X, check_finite=False)
+            X = X + cho_solve(c, B - G @ X, check_finite=False)
             assert solve(G, B).tobytes() == X.tobytes()
 
     @pytest.mark.parametrize("M", [1, 25, 130, 400])
@@ -324,8 +325,8 @@ class TestLapackPath:
         rng = np.random.default_rng(33 + M)
         Y = 3.0 * rng.standard_normal((M, 3))
         G = gram(Y, KernelSpec(sigma=0.6, lam=1e-6))
-        v0 = G.entries @ rng.standard_normal(M)
-        v1 = G.entries @ rng.standard_normal((M, 3))
+        v0 = G @ rng.standard_normal(M)
+        v1 = G @ rng.standard_normal((M, 3))
         w, Z = solve(G, v0, v1)
         assert w.shape == (M,) and Z.shape == (M, 3)
         assert w.tobytes() == solve(G, v0).tobytes()
@@ -340,8 +341,9 @@ class TestLapackPath:
         Y[83] = Y[17]
         G = gram(Y, KernelSpec(sigma=2.0, lam=0.0))
         with pytest.raises(LinAlgError):
-            cho_factor(G.entries, lower=True, check_finite=False)
+            cho_factor(G, lower=True, check_finite=False)
         with pytest.raises(SingularGramError) as info:
             solve(G, np.ones(100))
         assert info.value.index_pair == (17, 83)
         assert "closest particle pair is (17, 83)" in str(info.value)
+        assert "diagonal 1)" in str(info.value)

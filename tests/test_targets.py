@@ -16,8 +16,8 @@ from msip.targets import (
     _mixture,
     from_gmm,
     gmm_c_pi,
-    gmm_grad_log_v0,
     gmm_v0,
+    gmm_v0_and_shift,
     make_benchmark,
     normalized,
     reference_samples,
@@ -174,9 +174,21 @@ class TestEmbeddings:
         assert val == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_grad_log_v0_single_gaussian(self):
-        # -(Sigma + sigma^2 I)^{-1} (y - mu) = -2/2 = -1 at y = 2.
-        g = gmm_grad_log_v0(STD_NORMAL_1D, np.array([2.0]), 1.0)
-        assert g[0] == pytest.approx(-1.0, rel=1e-12)
+        # grad log v0 = -(Sigma + sigma^2 I)^{-1} (y - mu) = -2/2 = -1 at
+        # y = 2, so m = y + sigma^2 grad log v0 = 1; a single point is
+        # squeezed back.
+        v0, m = gmm_v0_and_shift(STD_NORMAL_1D, np.array([2.0]), 1.0)
+        assert np.ndim(v0) == 0 and m.shape == (1,)
+        assert v0 == gmm_v0(STD_NORMAL_1D, np.array([2.0]), 1.0)
+        assert m[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_shift_pass_keeps_the_bits_of_v0(self):
+        t = random_mixture(59)
+        Y = np.random.default_rng(60).uniform(-2.0, 2.0, size=(7, 2))
+        v0, m = gmm_v0_and_shift(t, Y, 0.6)
+        assert v0.tobytes() == gmm_v0(t, Y, 0.6).tobytes()
+        _, score = _mixture(t, Y, t.blurred_chols(0.6), score=True)
+        assert m.tobytes() == (Y + 0.6**2 * score).tobytes()
 
     def test_c_pi_standard_normal(self):
         # omega * N(0; 0, 2 Sigma + sigma^2 I) = 1/sqrt(3) in 1-D.
@@ -203,8 +215,8 @@ class TestEmbeddings:
             assert abs(gmm_v0(t, y, sigma) - mc) <= 4.0 * se + 1e-12
 
     def test_v1_identity_matches_monte_carlo(self):
-        # v1 = v0 * (y + sigma^2 grad log v0) should equal the first
-        # kernel moment integral x kappa(x, y) pi(x) dx.
+        # v1 = v0 * m, with m = y + sigma^2 grad log v0, should equal the
+        # first kernel moment integral x kappa(x, y) pi(x) dx.
         t = random_mixture(54)
         target = from_gmm(t)
         sigma = 0.8
@@ -213,14 +225,16 @@ class TestEmbeddings:
         y = np.array([0.5, -0.3])
         k = np.exp(-np.sum((X - y) ** 2, axis=1) / (2.0 * sigma**2))
         scale = mass
-        v0 = gmm_v0(t, y, sigma)
-        v1 = v0 * (y + sigma**2 * gmm_grad_log_v0(t, y, sigma))
+        v0, m = gmm_v0_and_shift(t, y, sigma)
+        v1 = v0 * m
         for j in range(2):
             mc = scale * (X[:, j] * k).mean()
             se = scale * (X[:, j] * k).std() / math.sqrt(X.shape[0])
             assert abs(v1[j] - mc) <= 4.0 * se + 1e-12
 
     def test_grad_log_v0_matches_finite_differences(self):
+        # m(y) = y + sigma^2 grad log v0(y), the gradient by central
+        # differences of log v0.
         t = random_mixture(56)
         sigma = 0.6
         rng = np.random.default_rng(57)
@@ -230,7 +244,8 @@ class TestEmbeddings:
                 lambda p: math.log(gmm_v0(t, p, sigma)), y
             )
             np.testing.assert_allclose(
-                gmm_grad_log_v0(t, y, sigma), fd, rtol=1e-5, atol=1e-7
+                gmm_v0_and_shift(t, y, sigma)[1], y + sigma**2 * fd,
+                rtol=1e-5, atol=1e-7
             )
 
     def test_v0_scales_with_mixture_mass(self):
