@@ -29,7 +29,6 @@ from .dynamics import (
 )
 from .embeddings import (
     EmbeddingEstimate,
-    InnerQuadrature,
     estimate_embeddings,
     mc_inner_quadrature,
     one_point_rule,

@@ -18,11 +18,11 @@ Two properties are weaker than exact arithmetic would give:
   permutation-equivariant: BLAS may round a pair's inner product
   differently depending on where the pair sits in the matrix. This is
   why ``test_permutation_conjugates_gram`` fails.
-  The symmetric SE matrix is computed on the upper triangle only, in
-  row blocks of 64, and mirrored block by block. Each entry goes
-  through the same operations in the same order as exp(D / neg_c) on
-  D = cross_sq_dists(Y, Y), so the result is bit for bit the same, with
-  a diagonal of exactly 1.
+  The symmetric SE matrix is computed in row blocks of 64 from the
+  diagonal on, and each block is copied into the columns below it.
+  Each entry goes through the same operations in the same order as
+  exp(D / -(2 h2)) on D = cross_sq_dists(Y, Y), so the result is bit
+  for bit the same, with a diagonal of exactly 1.
 - the SE row sums against a reference sample X of N points drop
   far-apart pairs; they use direct-difference distances. A ``SeTiles``
   sorts and tiles X once, and both sums share it. Each self row-sum is
@@ -48,21 +48,22 @@ __all__ = [
 _BLOCK = 64
 
 
-def sym_se_matrix(Y, neg_c):
-    """exp(D / neg_c) for the distances D = cross_sq_dists(Y, Y), neg_c < 0.
+def sym_se_matrix(Y, h2):
+    """exp(D / -(2 h2)) for the distances D = cross_sq_dists(Y, Y).
 
-    Exactly symmetric, with a diagonal of exactly 1. Y @ Y.T is formed
-    whole: a product of sub-blocks can round an inner product differently.
-    Each block of rows [a, b) is computed in place on its columns [a, M),
-    in the operation order of ``cross_sq_dists``, then copied transposed
-    into rows [b, M) and, within its diagonal block, into the lower
-    triangle.
+    h2 > 0 is the squared bandwidth. Exactly symmetric, with a diagonal
+    of exactly 1. Y @ Y.T is formed whole: a product of sub-blocks can
+    round an inner product differently. Each block of rows [a, b) is
+    computed in place on its columns [a, M), in the operation order of
+    ``cross_sq_dists``, then copied transposed into rows [b, M). Y @ Y.T
+    is exactly symmetric and sq_i + sq_j commutes, so the lower triangle
+    of each diagonal block already holds the bits of the upper one.
     """
     M = Y.shape[0]
+    neg_c = -(2.0 * h2)
     sq = np.einsum("ij,ij->i", Y, Y)
     K = Y @ Y.T
     buf = np.empty((min(_BLOCK, M), M))
-    below = np.tri(min(_BLOCK, M), k=-1, dtype=bool)
     for a in range(0, M, _BLOCK):
         b = min(a + _BLOCK, M)
         S = K[a:b, a:]
@@ -73,8 +74,6 @@ def sym_se_matrix(Y, neg_c):
         S /= neg_c
         np.exp(S, out=S)
         K[b:, a:b] = S[:, b - a:].T
-        square, lower = S[:, :b - a], below[:b - a, :b - a]
-        square[lower] = square.T[lower]
     np.fill_diagonal(K, 1.0)
     return K
 

@@ -158,14 +158,14 @@ def criterion_3():
     q = 10_000
     rng = np.random.default_rng(314)
     probes = rng.uniform(0.0, 7.5, size=(20, 2))
-    rule = mc_inner_quadrature(q, 2, [314, 1, 0])
+    nodes = mc_inner_quadrature(q, 2, [314, 1, 0])
     omega = math.exp(log_omega(sigma, 2))
 
-    est_gf = estimate_embeddings(target, probes, sigma, rule, "gf")
-    est_st = estimate_embeddings(target, probes, sigma, rule, "stein")
+    est_gf = estimate_embeddings(target, probes, sigma, nodes, "gf")
+    est_st = estimate_embeddings(target, probes, sigma, nodes, "stein")
     v0_exact, ratio_exact = gmm_v0_and_shift(t, probes, sigma)
 
-    flat = (probes[:, None, :] + sigma * rule.nodes[None, :, :]).reshape(-1, 2)
+    flat = (probes[:, None, :] + sigma * nodes[None, :, :]).reshape(-1, 2)
     dens = np.exp(target.log_density(flat)).reshape(20, q)
     scores = target.score(flat).reshape(20, q, 2)
 
@@ -181,7 +181,7 @@ def criterion_3():
         worst_z = max(worst_z, z)
         ok &= z <= 3.0
         for v1_hat, f in (
-            (est_gf.v1_hat, sigma * rule.nodes * b[:, None]),
+            (est_gf.v1_hat, sigma * nodes * b[:, None]),
             (est_st.v1_hat, sigma**2 * scores[i] * b[:, None]),
         ):
             manual_v1 = probes[i] * v0_hat + omega * f.mean(axis=0)

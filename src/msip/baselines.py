@@ -100,7 +100,7 @@ def svgd_step(Y, t, p):
     M = Y.shape[0]
     S = t.score(Y)
     h2 = p.bandwidth if p.bandwidth != "median" else median_bandwidth(Y)
-    K = sym_se_matrix(Y, -2.0 * h2)
+    K = sym_se_matrix(Y, h2)
     # grad_{y_j} k(y_j, y_i) = (y_i - y_j) / h2 * k(y_j, y_i)
     attraction = K @ S
     repulsion = (Y * K.sum(axis=0)[:, None] - K @ Y) / h2

@@ -58,14 +58,11 @@ def build_parser():
     grad_p.add_argument("config", help="path to a JSON run config")
     grad_p.add_argument("--seed", type=int, default=None,
                         help="seed for the random configurations")
-    grad_p.add_argument("--quiet", action="store_true")
 
-    inv_p = sub.add_parser(
+    sub.add_parser(
         "invariance",
         help="check the particle map ignores the normalization constant",
     )
-    inv_p.add_argument("config", help="path to a JSON run config")
-    inv_p.add_argument("--quiet", action="store_true")
 
     plot_p = sub.add_parser(
         "plot", help="emit SVG scatter plots from a result directory"
@@ -164,7 +161,6 @@ def _cmd_grad_check(args):
 def _cmd_invariance(args):
     from .acceptance import invariance_suite
 
-    _load_config(args.config)  # validated for consistency with the docs
     worst = invariance_suite()
     print(f"max relative map deviation under +/-40 offsets: {worst:.6g}")
     if worst > 1e-10:

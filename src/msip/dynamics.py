@@ -81,8 +81,8 @@ class ParticleConfiguration:
 
 
 def _inner_rule(p, d, iteration):
-    """The seeded inner rule of one iteration; None where the estimator
-    reads no rule (fredholm uses the one-point rule)."""
+    """The seeded Q x d inner nodes of one iteration; None where the
+    estimator reads no nodes (fredholm uses the one node xi = 0)."""
     if p.estimator in ("fredholm", "analytic"):
         return None
     return mc_inner_quadrature(p.Q, d, [p.seed, 1, iteration])

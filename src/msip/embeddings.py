@@ -1,11 +1,15 @@
 """Inner quadrature rules and the v0 / v1 embedding estimators.
 
-Four estimator families read one evaluation of the target at the probe
-points y_i + sigma * xi_q: gradient-free, Stein (score-informed), the
-one-point Fredholm pair, and the gamma-hybrid. All arithmetic runs in log
-space with a per-particle max shift, so only genuinely out-of-range
-densities underflow the absolute scale of the result. The fifth,
-analytic, reads the exact embeddings of a Gaussian-mixture target.
+An inner rule is a Q x d array of nodes xi_q for the standard Gaussian
+integral, each with weight u_q = 1/Q. The estimators read one
+evaluation of the target at the probe points y_i + sigma * xi_q. The
+gamma-hybrid mixes a gradient-free and a Stein (score-informed) term;
+gradient-free is the hybrid at gamma = 0, Stein the hybrid at gamma = 1,
+and the Fredholm pair is Stein on the one node xi = 0. All arithmetic
+runs in log space with a per-particle max shift, so only genuinely
+out-of-range densities underflow the absolute scale of the result. The
+analytic estimator reads the exact embeddings of a Gaussian-mixture
+target.
 """
 
 import math
@@ -24,41 +28,16 @@ from .targets import gmm_v0_and_shift
 ESTIMATORS = ("fredholm", "stein", "gf", "hybrid", "analytic")
 
 
-@dataclass(frozen=True)
-class InnerQuadrature:
-    """Nodes and weights discretizing the standard Gaussian integral."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes",
-                           np.atleast_2d(np.asarray(self.nodes, float)))
-        object.__setattr__(self, "weights",
-                           np.asarray(self.weights, float))
-        if self.nodes.shape[0] != self.weights.shape[0] or \
-                self.nodes.shape[0] < 1:
-            raise ValueError("need Q >= 1 matching nodes and weights")
-
-    @property
-    def q(self):
-        return self.nodes.shape[0]
-
-
 def one_point_rule(d):
-    """The rule behind the Fredholm estimators: xi = 0 with weight 1."""
-    return InnerQuadrature(nodes=np.zeros((1, d)), weights=np.ones(1))
+    """The node of the Fredholm estimators: xi = 0, as a 1 x d array."""
+    return np.zeros((1, d))
 
 
 def mc_inner_quadrature(q, d, rng_seed):
-    """Q iid standard-normal nodes with uniform weights 1/Q."""
+    """Q iid standard-normal nodes, as a Q x d array."""
     if q < 1:
         raise ValueError("Q must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    return InnerQuadrature(
-        nodes=rng.standard_normal((q, d)),
-        weights=np.full(q, 1.0 / q),
-    )
+    return np.random.default_rng(rng_seed).standard_normal((q, d))
 
 
 @dataclass
@@ -71,20 +50,22 @@ class EmbeddingEstimate:
     score_evals: int
 
 
-def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
+def estimate_embeddings(t, Y, sigma, nodes, estimator, gamma=1.0):
     """(v0_hat, v1_hat) at Y for a named estimator, from one target call.
 
-    With pi_q = pi(y + sigma xi_q), s_q its score and u_q the rule weights:
+    With pi_q = pi(y + sigma xi_q) at the Q x d nodes xi_q, s_q its score
+    and u_q = 1/Q:
       v0_hat(y) = omega sum_q u_q pi_q;
       gf:     v1_hat(y) = y v0_hat(y) + sigma omega sum_q u_q xi_q pi_q,
               so a symmetric rule cancels the odd term exactly and the
               one-point rule returns y * v0_hat verbatim;
       stein:  v1_hat(y) = y v0_hat(y) + sigma^2 omega sum_q u_q pi_q s_q,
               the Gaussian integration-by-parts identity;
-      hybrid: (1 - gamma) * gf + gamma * stein on the same evaluations;
-      fredholm ignores the passed rule and uses the one-point rule, giving
+      hybrid: (1 - gamma) * gf + gamma * stein on the same evaluations,
+              so gf is the hybrid at gamma = 0 and stein at gamma = 1;
+      fredholm is stein on the one-point rule, whatever nodes are passed:
               v0 = omega pi(y), v1 = omega pi(y)(y + sigma^2 score(y));
-      analytic ignores the rule and reads the target's exact mixture
+      analytic ignores the nodes and reads the target's exact mixture
               embeddings, scaled by exp(log_scale_offset).
     """
     Y = np.asarray(Y, dtype=float)
@@ -106,12 +87,19 @@ def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
         return EmbeddingEstimate(v0, v1, 0, 0)
     m, d = Y.shape
     if estimator == "fredholm":
-        rule = one_point_rule(d)
-    use_gf = estimator == "gf" or (estimator == "hybrid" and gamma < 1.0)
-    use_stein = estimator in ("fredholm", "stein") \
-        or (estimator == "hybrid" and gamma > 0.0)
-    probes = Y[:, None, :] + sigma * rule.nodes[None, :, :]
-    flat = probes.reshape(m * rule.q, d)
+        nodes = one_point_rule(d)
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[0] < 1 or nodes.shape[1] != d:
+        raise ValueError(
+            f"nodes must be a Q x {d} array with Q >= 1, got shape "
+            f"{nodes.shape}"
+        )
+    q = nodes.shape[0]
+    # the weight of the Stein term: gf is the hybrid at 0, stein at 1
+    g = {"gf": 0.0, "hybrid": gamma}.get(estimator, 1.0)
+    use_gf, use_stein = g < 1, g > 0
+    probes = Y[:, None, :] + sigma * nodes[None, :, :]
+    flat = probes.reshape(m * q, d)
     if use_stein:
         if not t.has_score:
             raise EstimatorUnavailableError(
@@ -120,24 +108,22 @@ def estimate_embeddings(t, Y, sigma, rule, estimator, gamma=1.0):
         logpi, scores = t.log_density_and_score(flat)
     else:
         logpi = t.log_density(flat)
-    logpi = logpi.reshape(m, rule.q)
+    logpi = logpi.reshape(m, q)
     if not np.all(np.isfinite(logpi)):
         bad = np.unique(np.nonzero(~np.isfinite(logpi))[0])
         raise NonFiniteDensityError(bad.tolist())
     s = logpi.max(axis=1)
     w = np.exp(logpi - s[:, None])
     scale = np.exp(s + log_omega(sigma, d))
-    v0 = scale * (w @ rule.weights)
-    wu = w * rule.weights
+    u = np.full(q, 1.0 / q)
+    v0 = scale * (w @ u)
+    wu = w * u
     if use_gf:
-        drift = np.einsum("iq,qd->id", wu, rule.nodes)
-        gf = Y * v0[:, None] + sigma * scale[:, None] * drift
+        drift = np.einsum("iq,qd->id", wu, nodes)
+        v1 = Y * v0[:, None] + sigma * scale[:, None] * drift
     if use_stein:
-        drift = np.einsum("iq,iqd->id", wu, scores.reshape(m, rule.q, d))
+        drift = np.einsum("iq,iqd->id", wu, scores.reshape(m, q, d))
         stein = Y * v0[:, None] + sigma**2 * scale[:, None] * drift
-    if use_gf and use_stein:
-        v1 = (1.0 - gamma) * gf + gamma * stein
-    else:
-        v1 = gf if use_gf else stein
-    n = m * rule.q
+        v1 = (1.0 - g) * v1 + g * stein if use_gf else stein
+    n = m * q
     return EmbeddingEstimate(v0, v1, n, n if use_stein else 0)

@@ -9,11 +9,12 @@ step of iterative refinement. Several right-hand sides of one Gram
 matrix, such as the MSIP step's [v0 | v1], share one factor and one
 triangular solve per pass and keep the bits of their separate solves.
 
-The SE matrix is built on its upper triangle in row blocks of 64 and
-mirrored (``_backend.sym_se_matrix``); it is bit for bit the matrix
-exp(-D / (2 sigma^2)) with D = ``_backend.cross_sq_dists(Y, Y)`` and the
-diagonal set to 1. Its entries are not bitwise permutation-equivariant,
-because BLAS rounds the inner products of Y @ Y.T by position, so
+The SE matrix is built in row blocks of 64 from the diagonal on, each
+copied into the columns below it (``_backend.sym_se_matrix``); it is
+bit for bit the matrix exp(-D / (2 sigma^2)) with
+D = ``_backend.cross_sq_dists(Y, Y)`` and the diagonal set to 1. Its
+entries are not bitwise permutation-equivariant, because BLAS rounds the
+inner products of Y @ Y.T by position, so
 ``test_permutation_conjugates_gram`` fails as it did before the blocks.
 The factor and the solves call LAPACK's dpotrf and dpotrs directly; they
 give the bits scipy's cho_factor and cho_solve give.
@@ -70,20 +71,12 @@ def se_kernel(x, y, spec):
     return math.exp(-d2 / (2.0 * spec.sigma**2))
 
 
-def se_matrix(Y, sigma):
-    """Plain SE kernel matrix exp(-||y_i - y_j||^2 / (2 sigma^2)) of Y.
-
-    Exactly symmetric with diagonal exactly 1; Y is an M x d float array.
-    """
-    return _backend.sym_se_matrix(Y, -(2.0 * sigma**2))
-
-
 def gram(Y, spec):
     """K(Y) + lambda I for the configuration Y (M x d), as an M x M array."""
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError(f"Y must be M x d with M >= 1, got shape {Y.shape}")
-    K = se_matrix(Y, spec.sigma)
+    K = _backend.sym_se_matrix(Y, spec.sigma**2)
     np.fill_diagonal(K, 1.0 + spec.lam)
     return K
 

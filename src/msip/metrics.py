@@ -18,9 +18,9 @@ from ._backend import (
     imq_stein_gram,
     se_cross_rowsums,
     se_self_rowsums,
+    sym_se_matrix,
 )
 from .errors import NonNormalizableError
-from .kernel import se_matrix
 from .targets import gmm_c_pi, gmm_v0, normalized
 
 # Below this total mass the weight vector cannot be renormalized.
@@ -66,7 +66,7 @@ def mmd2_vs_gmm(Y, w, t, sigma):
     w = np.asarray(w, dtype=float)
     tn = normalized(t)
     v0 = gmm_v0(tn, Y, sigma)
-    K = se_matrix(Y, sigma)
+    K = sym_se_matrix(Y, sigma**2)
     val = gmm_c_pi(tn, sigma) - 2.0 * float(w @ v0) + float(w @ K @ w)
     return max(val, 0.0)
 
@@ -92,7 +92,7 @@ class SampleMmd:
         w = np.asarray(w, dtype=float)
         b = se_cross_rowsums(self._tiles, Y, w)
         val = float(self._a.mean()) - 2.0 * float(b.mean()) \
-            + float(w @ se_matrix(Y, self.sigma) @ w)
+            + float(w @ sym_se_matrix(Y, self.sigma**2) @ w)
         return max(val, 0.0), b
 
     def __call__(self, Y, w):

@@ -4,7 +4,8 @@ Wraps ``msip.kernel.solve`` for the whole test run with its residual
 contract: for every finite, nonzero right-hand-side block B and its
 solution X, ||B - G X|| <= 1e-10 ||B||. The wrapper is installed when
 this file is imported, before any test module, so modules that import
-``solve`` by name get the checked one too.
+``solve`` by name get the checked one too. Also holds ``layouts``, a
+helper of the tests that check results in every memory layout of Y.
 """
 
 import math
@@ -33,3 +34,16 @@ def checked_solve(G, *blocks):
 
 
 msip.kernel.solve = checked_solve
+
+
+def layouts(Y):
+    """Y in four memory layouts, by name: C and Fortran order, and views
+    strided by rows and by columns."""
+    M, d = Y.shape
+    rows = np.zeros((2 * M, d))
+    rows[::2] = Y
+    cols = np.zeros((M, 2 * d))
+    cols[:, ::2] = Y
+    return {"c-order": np.array(Y, order="C"),
+            "fortran-order": np.array(Y, order="F"),
+            "row-strided": rows[::2], "column-strided": cols[:, ::2]}

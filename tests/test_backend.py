@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import conftest
 import numpy as np
 import pytest
 
@@ -65,13 +66,8 @@ def _layouts():
     """One 20 x 4 sample in four memory layouts. numpy forms Y @ Y.T with
     a symmetric rank-k update for the first three and with its own loop
     for the column-strided one."""
-    Y = 3.0 * np.random.default_rng(162).standard_normal((20, 4))
-    rows = np.zeros((40, 4))
-    rows[::2] = Y
-    cols = np.zeros((20, 8))
-    cols[:, ::2] = Y
-    return {"c-order": Y, "fortran-order": np.asfortranarray(Y),
-            "row-strided": rows[::2], "column-strided": cols[:, ::2]}
+    return conftest.layouts(
+        3.0 * np.random.default_rng(162).standard_normal((20, 4)))
 
 
 class TestNumpyImplementations:

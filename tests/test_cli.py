@@ -214,9 +214,12 @@ class TestGradCheck:
 
 class TestInvariance:
     def test_reports_deviation(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, run_doc(tmp_path))
-        assert main(["invariance", path]) == 0
+        assert main(["invariance"]) == 0
         assert "max relative map deviation" in capsys.readouterr().out
+        # the check runs a fixed suite and takes no config
+        path = write_cfg(tmp_path, run_doc(tmp_path))
+        assert main(["invariance", path]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 import msip.targets
 from msip.embeddings import (
     ESTIMATORS,
-    InnerQuadrature,
     estimate_embeddings,
     mc_inner_quadrature,
     one_point_rule,
@@ -57,35 +56,46 @@ def std_normal_target():
 
 class TestRules:
     def test_one_point_rule(self):
-        rule = one_point_rule(3)
-        assert rule.q == 1
-        assert np.array_equal(rule.nodes, np.zeros((1, 3)))
-        assert np.array_equal(rule.weights, np.ones(1))
+        assert np.array_equal(one_point_rule(3), np.zeros((1, 3)))
 
     def test_mc_rule_shape_and_weights(self):
-        rule = mc_inner_quadrature(16, 2, rng_seed=5)
-        assert rule.q == 16
-        assert rule.nodes.shape == (16, 2)
-        assert np.all(rule.weights == 1.0 / 16.0)
+        # The nodes are the seeded generator's draws, each weighted 1/Q:
+        # v0 is omega times the mean density over the probes.
+        nodes = mc_inner_quadrature(16, 2, rng_seed=5)
+        assert np.array_equal(
+            nodes, np.random.default_rng(5).standard_normal((16, 2)))
+        t = make_benchmark("gmm", 2, seed=8)
+        y = np.array([[3.0, 4.0]])
+        v0 = estimate_embeddings(t, y, 0.5, nodes, "gf").v0_hat
+        mean = np.exp(t.log_density(y + 0.5 * nodes)).mean()
+        np.testing.assert_allclose(v0, omega(0.5, 2) * mean, rtol=1e-13)
 
     def test_mc_rule_deterministic(self):
         a = mc_inner_quadrature(8, 3, rng_seed=[1, 2])
         b = mc_inner_quadrature(8, 3, rng_seed=[1, 2])
         c = mc_inner_quadrature(8, 3, rng_seed=[1, 3])
-        assert np.array_equal(a.nodes, b.nodes)
-        assert not np.array_equal(a.nodes, c.nodes)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_mc_rule_node_statistics(self):
         q = 100_000
-        rule = mc_inner_quadrature(q, 2, rng_seed=9)
+        nodes = mc_inner_quadrature(q, 2, rng_seed=9)
         bound = 4.0 / math.sqrt(q)
-        assert np.all(np.abs(rule.nodes.mean(axis=0)) < bound)
+        assert np.all(np.abs(nodes.mean(axis=0)) < bound)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="Q"):
             mc_inner_quadrature(0, 2, rng_seed=0)
-        with pytest.raises(ValueError, match="Q >= 1"):
-            InnerQuadrature(nodes=np.zeros((2, 1)), weights=np.ones(3))
+        t = make_benchmark("gmm", 2, seed=8)
+        Y = np.zeros((3, 2))
+        for nodes, estimator, shape in (
+            (np.zeros(2), "stein", r"\(2,\)"),
+            (np.zeros((0, 2)), "gf", r"\(0, 2\)"),
+            (np.zeros((4, 3)), "hybrid", r"\(4, 3\)"),
+            (None, "gf", r"\(\)"),
+        ):
+            with pytest.raises(ValueError, match=r"Q x 2 array.*" + shape):
+                estimate_embeddings(t, Y, 0.5, nodes, estimator, 0.5)
 
 
 class TestOnePointExactness:
@@ -132,10 +142,7 @@ class TestAntitheticCancellation:
         # One antithetic node pair on a flat density: the odd term of the
         # split form is an exact floating-point zero, so v1 == Y * v0.
         t = constant_target(math.log(0.75), dim=2)
-        rule = InnerQuadrature(
-            nodes=np.array([[1.0, -2.0], [-1.0, 2.0]]),
-            weights=np.array([0.5, 0.5]),
-        )
+        rule = np.array([[1.0, -2.0], [-1.0, 2.0]])
         Y = np.array([[2.0, -4.0], [0.5, 8.0]])
         est = estimate_embeddings(t, Y, 0.5, rule, "gf")
         assert np.array_equal(est.v1_hat, Y * est.v0_hat[:, None])
@@ -144,8 +151,7 @@ class TestAntitheticCancellation:
         # With dyadic particle coordinates the ratio v1/v0 recovers Y
         # bit for bit (multiplying and dividing by v0 is exact scaling).
         t = constant_target(0.0, dim=1)
-        rule = InnerQuadrature(nodes=np.array([[1.0], [-1.0]]),
-                               weights=np.array([0.5, 0.5]))
+        rule = np.array([[1.0], [-1.0]])
         Y = np.array([[1.0], [2.0], [0.5], [-4.0]])
         est = estimate_embeddings(t, Y, 0.5, rule, "gf")
         assert np.array_equal(est.v1_hat / est.v0_hat[:, None], Y)
@@ -163,13 +169,21 @@ class TestHybrid:
         return estimate_embeddings(t, Y, 0.5, rule, "hybrid", gamma=gamma)
 
     def test_endpoints_bit_exact(self):
+        # gf and stein are the hybrid at gamma 0 and 1; fredholm is stein
+        # on the one-point rule.
         t, Y, rule = self.make_inputs()
         gf = estimate_embeddings(t, Y, 0.5, rule, "gf")
         st = estimate_embeddings(t, Y, 0.5, rule, "stein")
-        for gamma, end in ((0.0, gf), (1.0, st)):
-            est = self.hybrid(gamma)
+        for est, end in (
+            (self.hybrid(0.0), gf),
+            (self.hybrid(1.0), st),
+            (estimate_embeddings(t, Y, 0.5, rule, "fredholm"),
+             estimate_embeddings(t, Y, 0.5, one_point_rule(2), "stein")),
+        ):
             assert np.array_equal(est.v1_hat, end.v1_hat)
             assert np.array_equal(est.v0_hat, end.v0_hat)
+            assert est.density_evals == end.density_evals
+            assert est.score_evals == end.score_evals
 
     def test_midpoint_is_elementwise_mean(self):
         t, Y, rule = self.make_inputs()
@@ -298,8 +312,7 @@ class TestCountersAndErrors:
             ),
         )
         Y = np.array([[0.0], [10.0]])
-        rule = InnerQuadrature(nodes=np.array([[0.0], [1.0]]),
-                               weights=np.array([0.5, 0.5]))
+        rule = np.array([[0.0], [1.0]])
         v0 = estimate_embeddings(t, Y, 1.0, rule, "gf").v0_hat
         assert np.all(np.isfinite(v0)) and np.all(v0 >= 0.0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import msip.kernel
-from msip._backend import cross_sq_dists
+from msip._backend import cross_sq_dists, sym_se_matrix
 from msip.baselines import SvgdParams, svgd_step
 from msip.errors import SingularGramError
 from msip.kernel import (
@@ -20,7 +20,6 @@ from msip.kernel import (
     log_omega,
     omega,
     se_kernel,
-    se_matrix,
     solve,
 )
 from msip.targets import TargetDensity
@@ -126,7 +125,7 @@ class TestGram:
         for sigma in (0.3, 1.0, 2.7):
             spec = KernelSpec(sigma=sigma, lam=1e-6)
             G = gram(Y, spec)
-            K = se_matrix(Y, sigma)
+            K = sym_se_matrix(Y, sigma**2)
             assert np.array_equal(G[off], K[off])
             assert np.all(np.diag(K) == 1.0)
             assert np.all(np.diag(G) == 1.0 + spec.lam)
@@ -267,8 +266,9 @@ class TestBlockedAssembly:
     """The blocked upper-triangle assembly, and the distances of
     cross_sq_dists(Y, Y) with a zeroed diagonal, against the full-matrix
     formula mirrored from its upper triangle: block edges at 64 rows,
-    bandwidths whose kernels are all underflow or all near 1, and rows
-    that are not finite."""
+    bandwidths whose kernels are all underflow or all near 1, rows that
+    are not finite, and Y in C or Fortran order or strided by rows or by
+    columns (svgd_step passes Y as it comes; gram makes it C-contiguous)."""
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=80)
@@ -277,23 +277,26 @@ class TestBlockedAssembly:
            sigma=st.floats(1e-3, 1e3),
            scale=st.floats(1e-3, 1e3),
            seed=st.integers(0, 2**32 - 1),
-           bad=st.sampled_from([None, np.nan, np.inf]))
+           bad=st.sampled_from([None, np.nan, np.inf]),
+           layout=st.sampled_from(["c-order", "fortran-order",
+                                   "row-strided", "column-strided"]))
     def test_bits_match_full_matrix_formula(self, M, d, sigma, scale, seed,
-                                            bad):
+                                            bad, layout):
         rng = np.random.default_rng(seed)
         Y = scale * rng.standard_normal((M, d))
         if bad is not None:
             Y[rng.integers(M)] = bad
         spec = KernelSpec(sigma=sigma, lam=1e-6)
         with np.errstate(all="ignore"):
+            G = np.exp(-reference_sq_dists(Y) / (2.0 * sigma**2))
+            np.fill_diagonal(G, 1.0 + spec.lam)
+            Y = conftest.layouts(Y)[layout]
             D = reference_sq_dists(Y)
             K = np.exp(-D / (2.0 * sigma**2))
-            G = K.copy()
-            np.fill_diagonal(G, 1.0 + spec.lam)
             D_self = cross_sq_dists(Y, Y)
             np.fill_diagonal(D_self, 0.0)
             assert_same_bits(D_self, D)
-            assert_same_bits(se_matrix(Y, sigma), K)
+            assert_same_bits(sym_se_matrix(Y, sigma**2), K)
             assert_same_bits(gram(Y, spec), G)
             median = 1.0 if M < 2 else max(
                 float(np.median(D[np.triu_indices(M, 1)]))
