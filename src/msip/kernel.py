@@ -16,17 +16,19 @@ D = ``_backend.cross_sq_dists(Y, Y)`` and the diagonal set to 1. Its
 entries are not bitwise permutation-equivariant, because BLAS rounds the
 inner products of Y @ Y.T by position, so
 ``test_permutation_conjugates_gram`` fails as it did before the blocks.
-The factor and the solves call LAPACK's dpotrf and dpotrs directly; they
-give the bits scipy's cho_factor and cho_solve give.
+The factor and the solves call LAPACK's dpotrf and dpotrs directly,
+through :mod:`msip._lapack`, which holds scipy's own wrappers without
+importing ``scipy.linalg``; they give the bits scipy's cho_factor and
+cho_solve give.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _backend
+from ._lapack import dpotrf, dpotrs
 from .errors import SingularGramError
 
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)

@@ -77,8 +77,9 @@ class SampleMmd:
     mean_n a_n - 2 mean_n b_n + w' K w, where a_n = (1/N) sum_m k(x_n, x_m)
     is the mean kernel value of x_n against the sample and
     b_n = sum_i w_i k(x_n, y_i). X is sorted and tiled once, here, and
-    the a_n, which cost O(N^2), are computed once from the tiles; each
-    evaluation sums each particle over the tiles within the cutoff.
+    the a_n, which cost O(N^2), and their mean are computed once from the
+    tiles; each evaluation sums each particle over the tiles within the
+    cutoff.
     """
 
     def __init__(self, X, sigma):
@@ -86,12 +87,13 @@ class SampleMmd:
         self.sigma = sigma
         self._tiles = SeTiles(X, 1.0 / (2.0 * sigma**2))
         self._a = se_self_rowsums(self._tiles) / X.shape[0]
+        self._a_mean = float(self._a.mean())
 
     def _evaluate(self, Y, w):
         Y = np.asarray(Y, dtype=float)
         w = np.asarray(w, dtype=float)
         b = se_cross_rowsums(self._tiles, Y, w)
-        val = float(self._a.mean()) - 2.0 * float(b.mean()) \
+        val = self._a_mean - 2.0 * float(b.mean()) \
             + float(w @ sym_se_matrix(Y, self.sigma**2) @ w)
         return max(val, 0.0), b
 

@@ -11,9 +11,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
+from ._lapack import dpotrf, dtrtrs
 from .errors import EstimatorUnavailableError
 from .kernel import log_omega
 
@@ -23,31 +22,60 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ------------------------------------------------------------ gaussian mixture
 
 
+def _cholesky(C):
+    """Lower Cholesky factor of the covariance C.
+
+    This is the dpotrf call scipy's cholesky(C, lower=True) makes, so the
+    factor has its bits and its Fortran layout, with the upper part
+    zeroed.
+    """
+    L, info = dpotrf(np.asarray_chkfinite(C), lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the covariance is not positive "
+            "definite"
+        )
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return L
+
+
+def _factorize(covs):
+    """(chols, logdets) of the covariances: the stacked Cholesky factors,
+    and logdets[k] = sum(log(diag(chols[k]))), half the log-determinant of
+    covs[k], computed here once per factor set."""
+    chols = np.stack([_cholesky(C) for C in covs])
+    logdets = np.array([np.sum(np.log(np.diag(L))) for L in chols])
+    return chols, logdets
+
+
 @dataclass
 class GmmTarget:
     """Mixture sum_k m_k N(mu_k, Sigma_k) with cached Cholesky factors.
 
     Weights need not sum to one; everything that must be scale-free
     (scores, responsibilities) is, and everything linear in the density
-    (v0, v1) scales with sum(m).
+    (v0, v1) scales with sum(m). ``_factors`` is the (chols, logdets)
+    pair of the covariances (see :func:`_factorize`).
     """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    _chols: np.ndarray | None = field(default=None, repr=False)
+    _factors: tuple | None = field(default=None, repr=False)
     _blurred: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.covs = np.asarray(self.covs, dtype=float)
+        for name in ("weights", "means", "covs"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"mixture {name} must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("mixture weights must be positive")
-        if self._chols is None:
-            self._chols = np.stack(
-                [cholesky(C, lower=True) for C in self.covs]
-            )
+        if self._factors is None:
+            self._factors = _factorize(self.covs)
 
     @property
     def k(self):
@@ -57,14 +85,13 @@ class GmmTarget:
     def dim(self):
         return self.means.shape[1]
 
-    def blurred_chols(self, sigma):
-        """Cholesky factors of Sigma_k + sigma^2 I, cached per sigma."""
+    def blurred_factors(self, sigma):
+        """(chols, logdets) of Sigma_k + sigma^2 I, cached per sigma."""
         key = float(sigma)
         if key not in self._blurred:
             eye = np.eye(self.dim)
-            self._blurred[key] = np.stack(
-                [cholesky(C + key**2 * eye, lower=True) for C in self.covs]
-            )
+            self._blurred[key] = _factorize(
+                [C + key**2 * eye for C in self.covs])
         return self._blurred[key]
 
 
@@ -74,30 +101,29 @@ def normalized(t):
         weights=t.weights / t.weights.sum(),
         means=t.means,
         covs=t.covs,
-        _chols=t._chols,
+        _factors=t._factors,
         _blurred=t._blurred,
     )
 
 
-def _mixture(t, X, chols, score=False):
-    """(log-density, score or None) of the mixture with factors chols at X.
+def _mixture(t, X, factors, score=False):
+    """(log-density, score or None) of the mixture with factors at X.
 
-    chols are the Cholesky factors of the component covariances: t._chols
-    for the target itself, t.blurred_chols(sigma) for its embedding. The
-    score -sum_k r_k(x) C_k^{-1} (x - mu_k) reuses the whitening solves of
-    the log-density. Each factor is in Fortran order (np.stack keeps the
-    layout of scipy's cholesky), and the triangular solves call dtrtrs on
-    it with the arguments scipy's solve_triangular passes for such a
-    factor, so they give its bits.
+    factors is the (chols, logdets) pair of the component covariances:
+    t._factors for the target itself, t.blurred_factors(sigma) for its
+    embedding. The score -sum_k r_k(x) C_k^{-1} (x - mu_k) reuses the
+    whitening solves of the log-density. Each factor is in Fortran order,
+    as dpotrf returns it and np.stack keeps it, and the triangular solves
+    call dtrtrs on it with the arguments scipy's solve_triangular passes
+    for such a factor, so they give its bits.
     """
+    chols, logdets = factors
     lp = np.empty((X.shape[0], t.k))
     zs = []
     for k in range(t.k):
-        L = chols[k]
-        z = dtrtrs(L, (X - t.means[k]).T, lower=1)[0]
+        z = dtrtrs(chols[k], (X - t.means[k]).T, lower=1)[0]
         zs.append(z)
-        logdet = np.sum(np.log(np.diag(L)))
-        lp[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdet \
+        lp[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - logdets[k] \
             - 0.5 * t.dim * _LOG_2PI
     lp += np.log(t.weights)
     m = lp.max(axis=1, keepdims=True)
@@ -132,7 +158,7 @@ def gmm_v0(t, y, sigma):
     the (possibly unnormalized) mixture weights.
     """
     Y, single = _as_batch(y, t.dim)
-    logp, _ = _mixture(t, Y, t.blurred_chols(sigma))
+    logp, _ = _mixture(t, Y, t.blurred_factors(sigma))
     v = np.exp(logp + log_omega(sigma, t.dim))
     return v[0] if single else v
 
@@ -143,15 +169,22 @@ def gmm_c_pi(t, sigma):
     C_pi = Z_sigma sum_{k,l} m_k m_l N(mu_k; mu_l, Sigma_k + Sigma_l
     + sigma^2 I); quadratic in the mixture weights, so normalize first
     when a unit-mass value is wanted.
+
+    The whitening solve is the transposed solve with L', which rounds as
+    numpy's cholesky followed by scipy's solve_triangular does
+    (tests/test_targets.py keeps that as the reference); the lower solve
+    with L rounds differently from d = 2 on. Up to d = 4, and for diagonal
+    covariances, dpotrf's factor has the bits of numpy's cholesky too;
+    for a general covariance from d = 5 on, numpy's LAPACK build can round
+    the factor differently in the last bit.
     """
     d = t.dim
     blur = sigma**2 * np.eye(d)
     total = 0.0
     for a in range(t.k):
         for b in range(t.k):
-            L = np.linalg.cholesky(t.covs[a] + t.covs[b] + blur)
-            z = solve_triangular(L, t.means[a] - t.means[b], lower=True,
-                                 check_finite=False)
+            L = _cholesky(t.covs[a] + t.covs[b] + blur)
+            z = dtrtrs(L.T, t.means[a] - t.means[b], trans=1)[0]
             logn = -0.5 * (z @ z) - np.log(np.diag(L)).sum() \
                 - 0.5 * d * _LOG_2PI
             total += t.weights[a] * t.weights[b] * math.exp(logn)
@@ -164,7 +197,7 @@ def gmm_v0_and_shift(t, y, sigma):
     grad log v0 is the responsibility-weighted
     -(Sigma_k + sigma^2 I)^{-1}(y - mu_k). So v1 = v0 m."""
     Y, single = _as_batch(y, t.dim)
-    logp, score = _mixture(t, Y, t.blurred_chols(sigma), score=True)
+    logp, score = _mixture(t, Y, t.blurred_factors(sigma), score=True)
     v = np.exp(logp + log_omega(sigma, t.dim))
     m = Y + sigma**2 * score
     return (v[0], m[0]) if single else (v, m)
@@ -224,8 +257,8 @@ def from_gmm(t, name="gmm"):
     """Wrap a GmmTarget as a TargetDensity with analytic embeddings."""
     return TargetDensity(
         dim=t.dim,
-        base_log_density=lambda X: _mixture(t, X, t._chols)[0],
-        base_log_density_and_score=lambda X: _mixture(t, X, t._chols,
+        base_log_density=lambda X: _mixture(t, X, t._factors)[0],
+        base_log_density_and_score=lambda X: _mixture(t, X, t._factors,
                                                       score=True),
         analytic=t,
         name=name,
@@ -351,9 +384,10 @@ def reference_samples(target, n, seed):
         comp = rng.choice(t.k, size=n, p=probs)
         z = rng.standard_normal((n, t.dim))
         out = np.empty((n, t.dim))
+        chols = t._factors[0]
         for k in range(t.k):
             sel = comp == k
-            out[sel] = t.means[k] + z[sel] @ t._chols[k].T
+            out[sel] = t.means[k] + z[sel] @ chols[k].T
         return out
     if target.name == "funnel":
         x1 = 3.0 * rng.standard_normal(n)

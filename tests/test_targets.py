@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from msip.errors import EstimatorUnavailableError
@@ -99,6 +99,23 @@ class TestGmmDensity:
             GmmTarget(weights=np.array([1.0, 0.0]),
                       means=np.zeros((2, 1)), covs=np.ones((2, 1, 1)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("weights", np.array([np.nan, 1.0])),
+        ("means", np.array([[np.inf], [1.0]])),
+        ("means", np.array([[np.nan], [1.0]])),
+        ("covs", np.array([[[np.nan]], [[1.0]]])),
+    ])
+    def test_rejects_nonfinite_fields(self, field, value):
+        fields = {"weights": np.ones(2), "means": np.zeros((2, 1)),
+                  "covs": np.ones((2, 1, 1)), field: value}
+        with pytest.raises(ValueError, match=f"mixture {field} must be"):
+            GmmTarget(**fields)
+
+    def test_rejects_indefinite_covariance(self):
+        covs = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            GmmTarget(weights=np.ones(1), means=np.zeros((1, 2)), covs=covs)
+
 
 class TestGmmScore:
     def test_matches_finite_differences(self):
@@ -157,14 +174,65 @@ class TestTriangularSolves:
     @pytest.mark.parametrize("n", [1, 7])
     def test_mixture_matches_solve_triangular_bits(self, dim, n):
         # One point makes (X - mu).T both C- and F-contiguous, where a
-        # solve with the factor's transpose rounds differently.
+        # solve with the factor's transpose rounds differently. The
+        # factors themselves have the bits and layout of scipy's cholesky.
         t = random_mixture(61 + dim, k=4, dim=dim)
         X = 2.0 * np.random.default_rng(62).standard_normal((n, dim))
-        for chols in (t._chols, t.blurred_chols(0.7)):
-            logp, score = _mixture(t, X, chols, score=True)
+        for sigma, factors in ((0.0, t._factors),
+                               (0.7, t.blurred_factors(0.7))):
+            chols, logdets = factors
+            for k, C in enumerate(t.covs):
+                ref = cholesky(C + sigma**2 * np.eye(dim), lower=True)
+                assert chols[k].flags.f_contiguous
+                assert chols[k].tobytes(order="A") == ref.tobytes(order="A")
+                assert logdets[k] == np.sum(np.log(np.diag(ref)))
+            logp, score = _mixture(t, X, factors, score=True)
             ref_logp, ref_score = reference_mixture(t, X, chols)
             assert logp.tobytes() == ref_logp.tobytes()
             assert score.tobytes() == ref_score.tobytes()
+
+
+def reference_c_pi(t, sigma):
+    """gmm_c_pi through numpy's cholesky and scipy's solve_triangular,
+    kept as reference."""
+    d = t.dim
+    total = 0.0
+    for a in range(t.k):
+        for b in range(t.k):
+            L = np.linalg.cholesky(t.covs[a] + t.covs[b]
+                                   + sigma**2 * np.eye(d))
+            z = solve_triangular(L, t.means[a] - t.means[b], lower=True,
+                                 check_finite=False)
+            logn = -0.5 * (z @ z) - np.log(np.diag(L)).sum() \
+                - 0.5 * d * math.log(2.0 * math.pi)
+            total += t.weights[a] * t.weights[b] * math.exp(logn)
+    return omega(sigma, d) * total
+
+
+class TestCPi:
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_matches_reference_bits(self, dim):
+        for seed in range(20):
+            t = random_mixture(seed, k=4, dim=dim)
+            for sigma in (0.3, 0.7, 2.0):
+                assert gmm_c_pi(t, sigma) == reference_c_pi(t, sigma)
+
+    @pytest.mark.parametrize("name, dim", [("gmm", 10), ("gmm5-aniso-2d", 2)])
+    def test_fixtures_match_reference_bits(self, name, dim):
+        t = make_benchmark(name, dim).analytic
+        for sigma in np.linspace(0.1, 5.0, 25):
+            assert gmm_c_pi(t, sigma) == reference_c_pi(t, sigma)
+
+    def test_general_10d_matches_reference(self):
+        # numpy and scipy ship different LAPACK builds, whose Cholesky
+        # factors of a general covariance can differ in the last bit
+        # from d = 5 on, so here the values agree to rounding only.
+        for seed in range(20):
+            t = random_mixture(seed, k=4, dim=10)
+            assert gmm_c_pi(t, 0.7) == pytest.approx(reference_c_pi(t, 0.7),
+                                                     rel=1e-13)
+
+
 
 
 class TestEmbeddings:
@@ -187,7 +255,7 @@ class TestEmbeddings:
         Y = np.random.default_rng(60).uniform(-2.0, 2.0, size=(7, 2))
         v0, m = gmm_v0_and_shift(t, Y, 0.6)
         assert v0.tobytes() == gmm_v0(t, Y, 0.6).tobytes()
-        _, score = _mixture(t, Y, t.blurred_chols(0.6), score=True)
+        _, score = _mixture(t, Y, t.blurred_factors(0.6), score=True)
         assert m.tobytes() == (Y + 0.6**2 * score).tobytes()
 
     def test_c_pi_standard_normal(self):
