@@ -7,8 +7,14 @@ differently). Each entry goes through the operations of the
 whole-matrix formula in the same order, so it keeps those bits, while
 only a few M x M arrays are live at a time. ``imq_stein_gram`` forms
 the score-difference products s(y_i).(y_i - y_j) by the same einsum
-per row block, over a 64 x M x d difference block, never the
+per row block, over a few rows of differences at a time, never the
 M x M x d tensor.
+
+The M x M results can be written into lent buffers: ``sym_se_matrix``
+into out=, and ``imq_stein_gram`` into work=, the two arrays of a
+``kernel.workspace(M)``. The MSIP run owns that workspace and lends it
+to the metrics between its steps; without one each call allocates. The
+bits are the same either way.
 
 Two properties are weaker than exact arithmetic would give:
 
@@ -48,7 +54,7 @@ __all__ = [
 _BLOCK = 64
 
 
-def sym_se_matrix(Y, h2):
+def sym_se_matrix(Y, h2, out=None):
     """exp(D / -(2 h2)) for the distances D = cross_sq_dists(Y, Y).
 
     h2 > 0 is the squared bandwidth. Exactly symmetric, with a diagonal
@@ -58,11 +64,14 @@ def sym_se_matrix(Y, h2):
     ``cross_sq_dists``, then copied transposed into rows [b, M). Y @ Y.T
     is exactly symmetric and sq_i + sq_j commutes, so the lower triangle
     of each diagonal block already holds the bits of the upper one.
+    The matrix is written into out, a C-order M x M array, when one is
+    lent (the Gram buffer of a workspace), and allocated otherwise; BLAS
+    writes Y @ Y.T into either the same way.
     """
     M = Y.shape[0]
     neg_c = -(2.0 * h2)
     sq = np.einsum("ij,ij->i", Y, Y)
-    K = Y @ Y.T
+    K = np.matmul(Y, Y.T, out=out)
     buf = np.empty((min(_BLOCK, M), M))
     for a in range(0, M, _BLOCK):
         b = min(a + _BLOCK, M)
@@ -220,7 +229,25 @@ def _se_tile(A, B, inv_two_sigma2, buf):
     return np.exp(K, out=K)
 
 
-def imq_stein_gram(Y, S, c2, ell2, beta):
+# Differences y_i - y_j one einsum of the Stein Gram's score products
+# holds at most: 128 KB, a tenth of an M x M array at M = 400. einsum
+# buffers about as much again.
+_DIFF_ELEMS = 1 << 14
+
+
+def _score_diffs(S, Yi, Yj, out):
+    """out[i, j] = S[i].(Yi[i] - Yj[j]), by the einsum of the whole-matrix
+    formula over a few rows of differences at a time. Each entry's
+    reduction over the d coordinates is the same whatever rows share
+    its call."""
+    step = max(1, _DIFF_ELEMS // Yj.size)
+    for i in range(0, Yi.shape[0], step):
+        np.einsum("ik,ijk->ij", S[i:i + step],
+                  Yi[i:i + step, None, :] - Yj[None, :, :],
+                  out=out[i:i + step])
+
+
+def imq_stein_gram(Y, S, c2, ell2, beta, work=None):
     """Stein-kernel Gram for the IMQ base kernel.
 
     k(x,y) = (c2 + ||x-y||^2 / ell2)^beta, S holds score rows s(y_i);
@@ -231,33 +258,47 @@ def imq_stein_gram(Y, S, c2, ell2, beta):
     k = u^beta, ku1 = beta u^(beta-1) and
     cross = (-(2/ell2) ku1) (sdiff + sdiff'),
     trace = ((-4 beta (beta-1)) u^(beta-2) D) / ell2^2 - (2d ku1) / ell2.
-    D = cross_sq_dists(Y, Y), its diagonal set to 0, and ss are formed
-    whole, since products of sub-blocks can round differently. sdiff is
-    formed in row blocks of 64 by the same einsum, over an (n, M, d)
-    difference block: each entry's reduction over the d coordinates is
-    unchanged. The rest is computed per row block in three reused n x M
-    buffers with in-place ufuncs, each entry seeing the operands of the
-    formula above in its order, and summed into the rows of ss. So the
-    result has the bits of the whole-matrix formula, and holds no
-    M x M x d array and about four M x M ones at a time.
+
+    Y Y' and ss are formed whole, since products of sub-blocks can round
+    differently. work is a workspace of ``kernel.workspace(M)``, a
+    (C-order, Fortran-order) pair of M x M arrays: Y Y' goes into the
+    first and ss, which becomes the result, into the transpose of the
+    second, which is C-order. Without one, two M x M arrays are
+    allocated. The rest is done per row block [a, b) of 64 with in-place
+    ufuncs, in four reused block buffers: the distance rows D[a:b] are
+    finished from Y Y' in the operation order of ``cross_sq_dists``, with
+    their diagonal set to 0; the sdiff rows [a, b) and columns [a, b)
+    come from the same einsum, over a few rows of differences at a time
+    (``_score_diffs``), never the M x M x d tensor; and every entry sees
+    the operands of the formula above in its order. So the result has
+    the bits of the whole-matrix formula. At M = 400, d = 10 it holds
+    0.85 M x M arrays beyond the two M x M ones. At M <= 64 there is one
+    block, the sdiff columns are the transposed rows, and one einsum
+    forms them when M^2 d <= 2^14.
     """
     M, d = Y.shape
-    D = cross_sq_dists(Y, Y)
-    np.fill_diagonal(D, 0.0)
-    # sdiff[i,j] = s(y_i).(y_i - y_j); grad_x k = 2*ku1*(x-y)/ell2 = -grad_y k
-    sdiff = np.empty((M, M))
-    for a in range(0, M, _BLOCK):
-        b = min(a + _BLOCK, M)
-        np.einsum("ik,ijk->ij", S[a:b], Y[a:b, None, :] - Y[None, :, :],
-                  out=sdiff[a:b])
-    K0 = S @ S.T
-    buf = np.empty((3, min(_BLOCK, M), M))
+    if work is None:
+        D, K0 = np.empty((M, M)), np.empty((M, M))
+    else:
+        D, K0 = work[0], work[1].T
+    sq = np.einsum("ij,ij->i", Y, Y)
+    np.matmul(Y, Y.T, out=D)
+    np.matmul(S, S.T, out=K0)
+    n = min(_BLOCK, M)
+    buf = np.empty((3, n, M))
+    colbuf = np.empty(M * n)
     c_trace = -4.0 * beta * (beta - 1.0)
     c_cross = -(2.0 / ell2)
     for a in range(0, M, _BLOCK):
         b = min(a + _BLOCK, M)
         u, k, ku1 = buf[:, :b - a]
         Db, out = D[a:b], K0[a:b]
+        # the distance rows, in cross_sq_dists' operation order
+        np.add(sq[a:b, None], sq[None, :], out=u)
+        Db *= 2.0
+        np.subtract(u, Db, out=Db)
+        np.maximum(Db, 0.0, out=Db)
+        np.fill_diagonal(Db[:, a:b], 0.0)
         np.divide(Db, ell2, out=u)
         np.add(c2, u, out=u)
         np.power(u, beta, out=k)
@@ -272,9 +313,15 @@ def imq_stein_gram(Y, S, c2, ell2, beta):
         np.multiply(2.0 * d, ku1, out=k)
         np.divide(k, ell2, out=k)
         np.subtract(u, k, out=u)
-        # cross, into ku1
+        # cross, into ku1: k = sdiff[a:b] + sdiff.T[a:b], from the rows
+        # and the columns [a, b) of sdiff, whose rows [a, b) are shared
+        _score_diffs(S[a:b], Y[a:b], Y, k)
+        cols = colbuf[:M * (b - a)].reshape(M, b - a)
+        cols[a:b] = k[:, a:b]
+        _score_diffs(S[:a], Y[:a], Y[a:b], cols[:a])
+        _score_diffs(S[b:], Y[b:], Y[a:b], cols[b:])
+        np.add(k, cols.T, out=k)
         np.multiply(c_cross, ku1, out=ku1)
-        np.add(sdiff[a:b], sdiff.T[a:b], out=k)
         np.multiply(ku1, k, out=ku1)
         np.add(out, ku1, out=out)
         np.add(out, u, out=out)

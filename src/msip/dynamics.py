@@ -7,10 +7,13 @@ with eta = 1 and no bounds it returns Psi(Y) itself. ``_weights`` is the
 one place where the system of a configuration is formed: it estimates the
 embeddings, assembles the Gram matrix and solves K_lambda w = v0 and
 K_lambda Z = v1 in one ``kernel.solve``, for the step and for the final
-weights of a run alike. Weights that underflow
-the representable range mark a particle degenerate: the map refuses to
-move it (the runner freezes it for the iteration and continues, reporting
-the frozen indices).
+weights of a run alike. ``run_msip`` forms them all in one workspace
+(``kernel.workspace``): the Gram matrix and its Cholesky factor are
+written into the same two M x M arrays at every step, rather than
+allocated and freed per step. Weights that underflow the representable
+range mark a particle degenerate: the map refuses to move it (the runner
+freezes it for the iteration and continues, reporting the frozen
+indices).
 
 ``iterate`` is the one run loop of the library: run_msip here and the
 SVGD and CBS runners in ``baselines`` each pass it their step.
@@ -88,18 +91,22 @@ def _inner_rule(p, d, iteration):
     return mc_inner_quadrature(p.Q, d, [p.seed, 1, iteration])
 
 
-def _weights(Y, t, p, iteration):
+def _weights(Y, t, p, iteration, work=None):
     """(w, Z, est): the solutions of K_lambda w = v0 and K_lambda Z = v1 at
     Y, from one ``kernel.solve`` of both blocks, and the embedding estimate
-    they read."""
+    they read. The Gram matrix and its factor go into work, a
+    ``kernel.workspace(M)`` pair, when one is given; w and Z never live
+    there."""
     est = estimate_embeddings(t, Y, p.kernel.sigma,
                               _inner_rule(p, Y.shape[1], iteration),
                               p.estimator, gamma=p.gamma)
-    w, Z = kern.solve(kern.gram(Y, p.kernel), est.v0_hat, est.v1_hat)
+    G, L = (None, None) if work is None else work
+    w, Z = kern.solve(kern.gram(Y, p.kernel, out=G), est.v0_hat, est.v1_hat,
+                      factor=L)
     return w, Z, est
 
 
-def msip_step(Y, t, p, iteration=0, degenerate="raise"):
+def msip_step(Y, t, p, iteration=0, degenerate="raise", work=None):
     """One damped update (1 - eta) Y + eta Psi(Y), then bounds clamp.
 
     Psi(Y) divides row i of Z by w_i, with w and Z from ``_weights``; with
@@ -109,10 +116,12 @@ def msip_step(Y, t, p, iteration=0, degenerate="raise"):
     raises DegenerateWeightError naming such particles,
     degenerate="freeze" keeps them in place for this iteration and
     reports their indices in the diagnostics. A non-finite Psi raises
-    DivergedRunError.
+    DivergedRunError. The Gram system is assembled and factored in work,
+    a ``kernel.workspace(M)`` pair, when one is given, and in new arrays
+    otherwise.
     """
     Y = np.asarray(Y, dtype=float)
-    w, Z, est = _weights(Y, t, p, iteration)
+    w, Z, est = _weights(Y, t, p, iteration, work)
     frozen = np.abs(w) < WEIGHT_FLOOR
     if frozen.any() and degenerate == "raise":
         raise DegenerateWeightError(np.nonzero(frozen)[0].tolist())
@@ -169,7 +178,7 @@ def iterate(step, Y0, T, callbacks=()):
     return Y
 
 
-def run_msip(t, p, Y0, callbacks=()):
+def run_msip(t, p, Y0, callbacks=(), work=None):
     """Iterate msip_step T times from Y0 with ``iterate``.
 
     Callbacks see the weights step it solved at Y_it, and diagnostics
@@ -179,12 +188,23 @@ def run_msip(t, p, Y0, callbacks=()):
     DivergedRunError. Returns (final, diag): the ParticleConfiguration
     at Y_T with weights re-solved there, and the density and score
     evaluations of that solve.
+
+    Every step and the final solve assemble and factor their Gram system
+    in one workspace: work, a ``kernel.workspace(M)`` pair, or one
+    allocated here. Callbacks run between steps, when the workspace holds
+    nothing a step still reads, so they may borrow it. Allocated once,
+    its pages stay mapped; arrays allocated and freed per step are
+    faulted in again at every step (``kernel``).
     """
+    if work is None:
+        work = kern.workspace(len(Y0))
+
     def step(Y, it):
-        return msip_step(Y, t, p, iteration=it, degenerate="freeze")
+        return msip_step(Y, t, p, iteration=it, degenerate="freeze",
+                         work=work)
 
     Y = iterate(step, Y0, p.T, callbacks)
-    w, _, est = _weights(Y, t, p, p.T)
+    w, _, est = _weights(Y, t, p, p.T, work)
     # w is a column of the stacked solution [w | Z]; a copy keeps the
     # result, which callers hold on to, from holding Z as well
     return ParticleConfiguration(Y=Y, w=w.copy()), {

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .baselines import CbsParams, SvgdParams, run_cbs, run_svgd
 from .dynamics import MsipParams, ParticleConfiguration, run_msip
 from .errors import ConfigError, DivergedRunError, NonNormalizableError
-from .kernel import KernelSpec
+from .kernel import KernelSpec, workspace
 from .metrics import (
     MetricsReport,
     SampleMmd,
@@ -399,13 +400,18 @@ def build_params(cfg, seed):
 
 
 class _TrialRecorder:
-    """Accumulates metric rows and cumulative counters for one trial."""
+    """Accumulates metric rows and cumulative counters for one trial.
 
-    def __init__(self, cfg, target, ksd_bandwidth, ref_mmd, t0):
+    work is the trial's Gram workspace (None outside MSIP), which the
+    exact MMD^2 and the KSD borrow: rows are recorded between steps.
+    """
+
+    def __init__(self, cfg, target, ksd_bandwidth, ref_mmd, t0, work=None):
         self.cfg = cfg
         self.target = target
         self.ksd_bandwidth = ksd_bandwidth
         self.ref_mmd = ref_mmd
+        self.work = work
         self.t0 = t0
         self.rows = []
         self.status = "ok"
@@ -431,7 +437,7 @@ class _TrialRecorder:
                 vals["mmd2"] = float("nan")
             elif self.target.analytic is not None:
                 vals["mmd2"] = mmd2_vs_gmm(
-                    Y, wn, self.target.analytic, mmd_bw
+                    Y, wn, self.target.analytic, mmd_bw, work=self.work
                 )
             else:
                 vals["mmd2"] = self.ref_mmd(Y, wn)
@@ -439,7 +445,8 @@ class _TrialRecorder:
             vals["ksd"] = float("nan")
             if wn is not None:
                 try:
-                    vals["ksd"] = ksd(Y, wn, S, self.ksd_bandwidth)
+                    vals["ksd"] = ksd(Y, wn, S, self.ksd_bandwidth,
+                                     work=self.work)
                 except ValueError:  # the score is not finite at some y_i
                     pass
         if "loglik" in requested:
@@ -470,8 +477,11 @@ def _run_trial(cfg, target, trial, ref_mmd):
         * rng.standard_normal((M, d))
     params = build_params(cfg, seed)
     name = cfg.algorithm["name"]
+    # one Gram workspace per MSIP trial: every step's system and the
+    # metric rows between steps
+    work = workspace(M) if name in _MSIP_ESTIMATOR else None
     rec = _TrialRecorder(cfg, target, cfg.metrics["ksd_bandwidth"], ref_mmd,
-                         t0=time.perf_counter())
+                         t0=time.perf_counter(), work=work)
     uniform = np.full(M, 1.0 / M)
 
     def cb(it, Y, w, diag):
@@ -484,7 +494,7 @@ def _run_trial(cfg, target, trial, ref_mmd):
             rec.status = "degenerate-weights-occurred"
 
     if name in _MSIP_ESTIMATOR:
-        run = run_msip
+        run = partial(run_msip, work=work)
     elif name in ("svgd", "a-svgd"):
         run = run_svgd
     else:

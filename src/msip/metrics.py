@@ -5,6 +5,12 @@ squared MMD for targets without analytic embeddings, kernelized Stein
 discrepancy with an inverse-multiquadric kernel, weighted log-likelihood,
 and mode coverage. All metrics are permutation invariant in (particles,
 weights) jointly.
+
+The exact MMD^2 and the KSD build M x M matrices. An MSIP trial lends
+them its Gram workspace (``kernel.workspace(M)``, passed as work=), which
+the step has finished with whenever a metric row is taken, so a metric
+row allocates no M x M array; without work= each call allocates its own,
+with the same bits.
 """
 
 import math
@@ -56,17 +62,19 @@ def normalize_weights(w):
     return w / s
 
 
-def mmd2_vs_gmm(Y, w, t, sigma):
+def mmd2_vs_gmm(Y, w, t, sigma, work=None):
     """Exact MMD^2 between the weighted configuration and a unit-mass GMM.
 
     C_pi - 2 <w, v0(Y)> + w' K w with analytic C_pi and v0 and the plain
     (unregularized) kernel matrix; clamped at zero against round-off.
+    K is written into the Gram buffer of work, a ``kernel.workspace(M)``
+    pair lent by the run between its steps, or into a new array.
     """
     Y = np.asarray(Y, dtype=float)
     w = np.asarray(w, dtype=float)
     tn = normalized(t)
     v0 = gmm_v0(tn, Y, sigma)
-    K = sym_se_matrix(Y, sigma**2)
+    K = sym_se_matrix(Y, sigma**2, out=None if work is None else work[0])
     val = gmm_c_pi(tn, sigma) - 2.0 * float(w @ v0) + float(w @ K @ w)
     return max(val, 0.0)
 
@@ -118,12 +126,14 @@ class SampleMmd:
         return mmd2, float(reps.std(ddof=1))
 
 
-def ksd2(Y, w, S, bandwidth):
+def ksd2(Y, w, S, bandwidth, work=None):
     """Quadratic form sum_ij w_i w_j k0(y_i, y_j) of the IMQ Stein kernel.
 
     S holds the target's score at each row of Y, and bandwidth is the
     IMQ length scale. Weights are normalized to unit sum first, so the
     value is invariant to positive rescaling of the raw weight vector.
+    The Stein Gram is built in work, a ``kernel.workspace(M)`` pair lent
+    by the run between its steps, or in two new M x M arrays.
     """
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -133,13 +143,13 @@ def ksd2(Y, w, S, bandwidth):
     if not np.all(np.isfinite(S)):
         rows = np.unique(np.nonzero(~np.isfinite(S))[0]).tolist()
         raise ValueError(f"non-finite score for particle(s) {rows}")
-    K0 = imq_stein_gram(Y, S, IMQ_C2, bandwidth**2, IMQ_BETA)
+    K0 = imq_stein_gram(Y, S, IMQ_C2, bandwidth**2, IMQ_BETA, work=work)
     return float(w @ K0 @ w)
 
 
-def ksd(Y, w, S, bandwidth):
+def ksd(Y, w, S, bandwidth, work=None):
     """sqrt(max(ksd2, 0)): the reported Stein discrepancy."""
-    return math.sqrt(max(ksd2(Y, w, S, bandwidth), 0.0))
+    return math.sqrt(max(ksd2(Y, w, S, bandwidth, work), 0.0))
 
 
 def weighted_loglik(w, logp):

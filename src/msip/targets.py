@@ -69,6 +69,16 @@ class GmmTarget:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.covs = np.asarray(self.covs, dtype=float)
+        ws, ms, cs = self.weights.shape, self.means.shape, self.covs.shape
+        if len(ws) != 1:
+            raise ValueError(f"mixture weights has shape {ws}, expected (k,)")
+        if len(ms) != 2 or ms[0] != ws[0]:
+            raise ValueError(f"mixture means has shape {ms}, expected "
+                             f"({ws[0]}, d) from weights {ws}")
+        if cs != (ws[0], ms[1], ms[1]):
+            raise ValueError(f"mixture covs has shape {cs}, expected "
+                             f"{(ws[0], ms[1], ms[1])} from weights {ws} "
+                             f"and means {ms}")
         for name in ("weights", "means", "covs"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"mixture {name} must be finite")

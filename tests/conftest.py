@@ -5,10 +5,12 @@ contract: for every finite, nonzero right-hand-side block B and its
 solution X, ||B - G X|| <= 1e-10 ||B||. The wrapper is installed when
 this file is imported, before any test module, so modules that import
 ``solve`` by name get the checked one too. Also holds ``layouts``, a
-helper of the tests that check results in every memory layout of Y.
+helper of the tests that check results in every memory layout of Y, and
+``traced_peak``, of the tests that bound memory.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -17,9 +19,10 @@ import msip.kernel
 _solve = msip.kernel.solve
 
 
-def checked_solve(G, *blocks):
-    """``msip.kernel.solve`` that asserts each block's residual contract."""
-    out = _solve(G, *blocks)
+def checked_solve(G, *blocks, **kwargs):
+    """``msip.kernel.solve`` that asserts each block's residual contract;
+    keyword arguments (the lent ``factor``) are passed through."""
+    out = _solve(G, *blocks, **kwargs)
     for B, X in zip(blocks, out if len(blocks) > 1 else (out,)):
         B = np.asarray(B, dtype=float)
         num = np.linalg.norm(B - G @ X)
@@ -47,3 +50,13 @@ def layouts(Y):
     return {"c-order": np.array(Y, order="C"),
             "fortran-order": np.array(Y, order="F"),
             "row-strided": rows[::2], "column-strided": cols[:, ::2]}
+
+
+def traced_peak(f, *args):
+    """Peak bytes numpy and Python allocate during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,5 @@
 """The numerical kernels against brute-force references."""
 
-import tracemalloc
-
 import conftest
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ from msip._backend import (
     se_cross_rowsums,
     se_self_rowsums,
 )
+from msip.kernel import workspace
 from msip.targets import make_benchmark, reference_samples
 
 
@@ -52,16 +51,6 @@ def whole_stein_gram(Y, S, c2, ell2, beta):
     return ss * k + cross + trace
 
 
-def traced_peak(f, *args):
-    """Peak bytes numpy and Python allocate during f(*args)."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _layouts():
     """One 20 x 4 sample in four memory layouts. numpy forms Y @ Y.T with
     a symmetric rank-k update for the first three and with its own loop
@@ -79,24 +68,22 @@ class TestNumpyImplementations:
         np.testing.assert_allclose(D, brute_sq_dists(Y, Y),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_sym_sq_dists_exactly_symmetric_zero_diag(self, monkeypatch):
-        # The distances the Stein Gram works on: cross_sq_dists(Y, Y)
-        # with its diagonal set to 0 in place.
-        seen = []
-
-        def recording(A, B):
-            D = cross_sq_dists(A, B)
-            seen.append(D)
-            return D
-
-        monkeypatch.setattr(msip._backend, "cross_sq_dists", recording)
+    def test_sym_sq_dists_exactly_symmetric_zero_diag(self):
+        # The distances the Stein Gram works on: it finishes them in place
+        # in the Gram buffer of a lent workspace, where they stay, with the
+        # bits of cross_sq_dists(Y, Y) and its diagonal set to 0.
         rng = np.random.default_rng(162)
         Y = rng.standard_normal((20, 4)) * 3.0
-        imq_stein_gram(Y, rng.standard_normal((20, 4)), 1.0, 0.5, -0.5)
-        (D,) = seen
+        work = workspace(20)
+        imq_stein_gram(Y, rng.standard_normal((20, 4)), 1.0, 0.5, -0.5,
+                       work=work)
+        D = work[0]
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
         assert np.all(D >= 0.0)
+        ref = cross_sq_dists(Y, Y)
+        np.fill_diagonal(ref, 0.0)
+        assert D.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_cross_sq_dists_self_exactly_symmetric(self, layout):
@@ -249,11 +236,18 @@ class TestNumpyImplementations:
         rng = np.random.default_rng(1000 * M + d)
         Y = np.asarray(2.0 * rng.standard_normal((M, d)), order=order)
         S = rng.standard_normal((M, d))
+        # the same bits in a lent workspace, stale from an earlier use
+        work = workspace(M)
+        work[0].fill(np.nan)
+        work[1].fill(np.nan)
         for c2, ell2, beta in ((1.0, 0.5, -0.5), (0.7, 3.1, -1.5)):
+            ref = whole_stein_gram(Y, S, c2, ell2, beta).tobytes()
             K0 = imq_stein_gram(Y, S, c2, ell2, beta)
             assert K0.shape == (M, M)
-            assert K0.tobytes() == whole_stein_gram(Y, S, c2, ell2,
-                                                    beta).tobytes()
+            assert K0.tobytes() == ref
+            K0 = imq_stein_gram(Y, S, c2, ell2, beta, work)
+            assert np.shares_memory(K0, work[1])
+            assert K0.tobytes() == ref
 
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_cross_sq_dists_matches_expanded_expression_bits(self, layout):
@@ -265,11 +259,15 @@ class TestNumpyImplementations:
 
     def test_traced_peaks_at_m400_d10(self):
         # The whole-matrix Stein Gram peaks at 19 M x M arrays here; the
-        # row-blocked one holds D, sdiff, the result and three row blocks.
+        # row-blocked one holds Y Y', the result, four row blocks and a
+        # few rows of differences: in a lent workspace, only the rest.
         M, d = 400, 10
         rng = np.random.default_rng(172)
         Y = rng.standard_normal((M, d))
         S = rng.standard_normal((M, d))
         mm = M * M * 8
-        assert traced_peak(imq_stein_gram, Y, S, 1.0, 0.5, -0.5) <= 5 * mm
-        assert traced_peak(cross_sq_dists, Y, Y) <= 2.5 * mm
+        peak = conftest.traced_peak
+        assert peak(imq_stein_gram, Y, S, 1.0, 0.5, -0.5) <= 3 * mm
+        work = workspace(M)
+        assert peak(imq_stein_gram, Y, S, 1.0, 0.5, -0.5, work) <= 1 * mm
+        assert peak(cross_sq_dists, Y, Y) <= 2.5 * mm

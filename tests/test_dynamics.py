@@ -23,7 +23,7 @@ from msip.errors import (
 )
 from msip.embeddings import estimate_embeddings, mc_inner_quadrature
 from msip.harness import build_params, parse_config
-from msip.kernel import KernelSpec, gram, solve
+from msip.kernel import KernelSpec, gram, solve, workspace
 from msip.targets import (
     GmmTarget,
     TargetDensity,
@@ -263,6 +263,41 @@ class TestRun:
             assert np.array_equal(w, w_it)
             following = seen[it + 1][1] if it + 1 < p.T else final.Y
             assert np.array_equal(following, Y_next)
+
+    def test_lent_workspace_keeps_every_bit(self):
+        # Steps and the final solve in one lent workspace, stale from an
+        # earlier use, give the bits of steps that allocate their own
+        # Gram and factor; M = 130 spans three row blocks.
+        target = make_benchmark("gmm", 3, seed=3)
+        p = params(estimator="fredholm", T=4)
+        Y0 = reference_samples(target, 130, seed=95)
+
+        def run(**kw):
+            seen = []
+            final, _ = run_msip(
+                target, p, Y0,
+                callbacks=[lambda it, Y, w, diag: seen.append(w.copy())],
+                **kw)
+            return final, seen
+
+        work = workspace(130)
+        work[0].fill(np.nan)
+        work[1].fill(np.nan)
+        lent, lent_ws = run(work=work)
+        own, own_ws = run()
+        ref_ws = []
+        Y = iterate(
+            lambda Y, it: msip_step(Y, target, p, iteration=it,
+                                    degenerate="freeze"),
+            Y0, p.T,
+            callbacks=[lambda it, Y, w, diag: ref_ws.append(w)])
+        assert lent.Y.tobytes() == own.Y.tobytes() == Y.tobytes()
+        assert lent.w.tobytes() == own.w.tobytes() \
+            == msip_step(Y, target, p, iteration=p.T)[1].tobytes()
+        for ws in (lent_ws, own_ws):
+            assert [w.tobytes() for w in ws] == [w.tobytes() for w in ref_ws]
+        # the final solve assembled its Gram matrix in the lent buffer
+        assert work[0].tobytes() == gram(Y, p.kernel).tobytes()
 
     def test_degenerate_weights_freeze_and_flag_status(self):
         target = make_benchmark("gmm", 2, seed=3)

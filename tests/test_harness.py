@@ -8,6 +8,7 @@ import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from msip.errors import ConfigError, UnsupportedDimensionError
 from msip.harness import (
     ALGORITHM_NAMES,
     CSV_HEADER,
+    _run_trial,
     _TrialRecorder,
     build_params,
     emit_csv,
@@ -385,6 +387,25 @@ class TestBuildParams:
 
 
 class TestRunExperiment:
+    def test_traced_peak_of_a_trial_at_m400_d10(self):
+        # One workspace holds every step's Gram matrix and factor and
+        # lends them to the metric rows, so a trial peaks while a KSD row
+        # adds its row blocks to it. Steps that allocated the pair anew
+        # and a KSD that allocated three M x M arrays peaked at 3.86 here.
+        cfg = small_config(
+            target={"name": "gmm", "dim": 10, "seed": 0},
+            algorithm={"name": "msip-f", "params": {"T": 4}},
+            particles={"M": 400},
+            metrics={"every_n_iters": 1},
+            trials={"count": 1, "base_seed": 0},
+        )
+        target = make_benchmark("gmm", 10, 0)
+        # the first run fills the target's caches; its last rows hold a KSD
+        rows = _run_trial(cfg, target, 0, None).report.rows
+        assert math.isfinite(rows[-1]["ksd"])
+        peak = conftest.traced_peak(_run_trial, cfg, target, 0, None)
+        assert peak <= 3.25 * 400 * 400 * 8
+
     def test_row_cadence(self):
         cfg = small_config(
             algorithm={"name": "msip-f", "params": {"T": 1000}},
@@ -474,9 +495,9 @@ class TestRunExperiment:
         grams = []
         gram = msip.kernel.gram
 
-        def counted_gram(*args):
+        def counted_gram(*args, **kwargs):
             grams.append(args)
-            return gram(*args)
+            return gram(*args, **kwargs)
 
         points = []
         log_density = TargetDensity.log_density

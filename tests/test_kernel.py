@@ -21,6 +21,7 @@ from msip.kernel import (
     omega,
     se_kernel,
     solve,
+    workspace,
 )
 from msip.targets import TargetDensity
 
@@ -227,6 +228,36 @@ class TestSolve:
         monkeypatch.setattr(conftest, "_solve", lambda G, b: 2.0 * w)
         with pytest.raises(AssertionError, match="residual contract"):
             msip.kernel.solve(G, b)
+
+    @pytest.mark.parametrize("M", [1, 70])
+    def test_workspace_is_written_and_residual_checked(self, M, monkeypatch):
+        # gram and solve write into a lent workspace, stale as it may be,
+        # with the bits of the calls that allocate; the session check
+        # passes factor= on and still checks every block.
+        rng = np.random.default_rng(26)
+        Y = rng.standard_normal((M, 2))
+        spec = KernelSpec(sigma=1.0)
+        G_buf, L_buf = workspace(M)
+        G_buf.fill(np.nan)
+        L_buf.fill(np.nan)
+        G = gram(Y, spec, out=G_buf)
+        assert G is G_buf and G.tobytes() == gram(Y, spec).tobytes()
+        b, B = G @ rng.standard_normal(M), G @ rng.standard_normal((M, 2))
+        w, Z = msip.kernel.solve(G, b, B, factor=L_buf)
+        w0, Z0 = solve(G, b, B)
+        assert w.tobytes() == w0.tobytes() and Z.tobytes() == Z0.tobytes()
+        assert np.array_equal(np.tril(L_buf), np.tril(_factor(G)))
+        assert np.shares_memory(_factor(G, L_buf), L_buf)
+        seen = []
+
+        def wrong(G, *blocks, **kwargs):
+            seen.append(kwargs["factor"])
+            return w, Z + 1e-6
+
+        monkeypatch.setattr(conftest, "_solve", wrong)
+        with pytest.raises(AssertionError, match="residual contract"):
+            msip.kernel.solve(G, b, B, factor=L_buf)
+        assert len(seen) == 1 and seen[0] is L_buf
 
 
 # The full-matrix formula the blocked assembly replaced, kept as reference.

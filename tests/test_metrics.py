@@ -7,11 +7,12 @@ import pytest
 
 from msip.dynamics import MsipParams, msip_step, objective
 from msip.errors import NonNormalizableError
-from msip.kernel import KernelSpec, gram, solve
+from msip.kernel import KernelSpec, gram, solve, workspace
 from msip.metrics import (
     IMQ_BETA,
     IMQ_C2,
     SampleMmd,
+    ksd,
     ksd2,
     mmd2_vs_gmm,
     mode_coverage,
@@ -114,6 +115,24 @@ class TestMmd2VsGmm:
         w = np.full(50, 0.02)
         t = target.analytic
         assert mmd2_vs_gmm(good, w, t, 0.5) < mmd2_vs_gmm(bad, w, t, 0.5)
+
+
+class TestLentWorkspace:
+    @pytest.mark.parametrize("M, d", [(1, 2), (25, 2), (130, 3), (400, 10)])
+    def test_metrics_keep_their_bits(self, M, d):
+        # In a trial's workspace, stale from the step before, the exact
+        # MMD^2 and the KSD give the bits of calls that allocate.
+        target = make_benchmark("gmm", d, seed=4)
+        Y = reference_samples(target, M, seed=5)
+        w = normalize_weights(np.random.default_rng(6).uniform(0.5, 1.5, M))
+        S = target.score(Y)
+        work = workspace(M)
+        work[0].fill(np.nan)
+        work[1].fill(np.nan)
+        assert mmd2_vs_gmm(Y, w, target.analytic, 0.7, work=work) \
+            == mmd2_vs_gmm(Y, w, target.analytic, 0.7)
+        assert ksd(Y, w, S, 1.3, work=work) == ksd(Y, w, S, 1.3)
+        assert not np.isnan(work[0]).any() and not np.isnan(work[1]).any()
 
 
 class TestMmd2VsSamples:

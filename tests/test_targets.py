@@ -111,6 +111,27 @@ class TestGmmDensity:
         with pytest.raises(ValueError, match=f"mixture {field} must be"):
             GmmTarget(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        # two weights, three means and covariances
+        ({"weights": np.ones(2), "means": np.zeros((3, 1)),
+          "covs": np.ones((3, 1, 1))},
+         r"mixture means has shape \(3, 1\), expected \(2, d\)"),
+        # three weights and means, two covariances
+        ({"weights": np.ones(3), "means": np.zeros((3, 1)),
+          "covs": np.ones((2, 1, 1))},
+         r"mixture covs has shape \(2, 1, 1\), expected \(3, 1, 1\)"),
+        ({"weights": np.ones((2, 1)), "means": np.zeros((2, 1)),
+          "covs": np.ones((2, 1, 1))},
+         r"mixture weights has shape \(2, 1\), expected \(k,\)"),
+        ({"weights": np.ones(2), "means": np.zeros((2, 2)),
+          "covs": np.ones((2, 2, 1))},
+         r"mixture covs has shape \(2, 2, 1\), expected \(2, 2, 2\)"),
+    ])
+    def test_rejects_mismatched_shapes(self, fields, message):
+        # at construction, not at the first evaluation
+        with pytest.raises(ValueError, match=message):
+            GmmTarget(**fields)
+
     def test_rejects_indefinite_covariance(self):
         covs = np.array([[[1.0, 2.0], [2.0, 1.0]]])
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
