@@ -1,14 +1,17 @@
 """Hot numerical kernels: distances, SE row sums and the IMQ Stein Gram.
 
-Plain numpy, deterministic run to run. The M x M matrices are finished
-in row blocks of 64 with in-place ufuncs, from the distances and inner
-products formed whole (a product of sub-blocks can round an entry
-differently). Each entry goes through the operations of the
-whole-matrix formula in the same order, so it keeps those bits, while
-only a few M x M arrays are live at a time. ``imq_stein_gram`` forms
-the score-difference products s(y_i).(y_i - y_j) by the same einsum
-per row block, over a few rows of differences at a time, never the
-M x M x d tensor.
+Plain numpy, deterministic run to run. Both symmetric M x M matrices,
+the SE matrix (``sym_se_matrix``) and the IMQ Stein Gram
+(``imq_stein_gram``), are built by one driver, ``_sym_blocks``: it forms
+Y Y' whole (a product of sub-blocks can round an entry differently),
+finishes row blocks of 64 on their upper triangle, from the diagonal
+on, into distances and then into the matrix's entries with in-place
+ufuncs, and copies each block into the columns below it. Each entry goes
+through the operations of the whole-matrix formula in the same order,
+so it keeps those bits, while only a few M x M arrays are live at a
+time. ``imq_stein_gram`` forms the score-difference products
+s(y_i).(y_i - y_j) by the same einsum per row block, over a few rows of
+differences at a time, never the M x M x d tensor.
 
 The M x M results can be written into lent buffers: ``sym_se_matrix``
 into out=, and ``imq_stein_gram`` into work=, the two arrays of a
@@ -18,17 +21,16 @@ bits are the same either way.
 
 Two properties are weaker than exact arithmetic would give:
 
-- the distance matrices are formed in the expanded form through BLAS
-  by ``cross_sq_dists``, the one squared-distance routine. Among the
-  rows of one Y they are exactly symmetric, but not bitwise
-  permutation-equivariant: BLAS may round a pair's inner product
-  differently depending on where the pair sits in the matrix. This is
-  why ``test_permutation_conjugates_gram`` fails.
-  The symmetric SE matrix is computed in row blocks of 64 from the
-  diagonal on, and each block is copied into the columns below it.
-  Each entry goes through the same operations in the same order as
-  exp(D / -(2 h2)) on D = cross_sq_dists(Y, Y), so the result is bit
-  for bit the same, with a diagonal of exactly 1.
+- the distances are formed in the expanded form through BLAS, by
+  ``cross_sq_dists`` and by the driver, which share the one sequence
+  that finishes them (``_sq_dists_from``). Among the rows of one Y they
+  are exactly symmetric, but not bitwise permutation-equivariant: BLAS
+  may round a pair's inner product differently depending on where the
+  pair sits in the matrix. This is why
+  ``test_permutation_conjugates_gram`` fails. The driver's distances
+  have the bits of cross_sq_dists(Y, Y) with the diagonal set to 0, so
+  the SE matrix is bit for bit exp(D / -(2 h2)) on those, with a
+  diagonal of exactly 1.
 - the SE row sums against a reference sample X of N points drop
   far-apart pairs; they use direct-difference distances. A ``SeTiles``
   sorts and tiles X once, and both sums share it. Each self row-sum is
@@ -50,41 +52,62 @@ __all__ = [
 ]
 
 
-# Rows per block of the symmetric SE matrix and of the IMQ Stein Gram.
+# Rows per block of the symmetric M x M matrices.
 _BLOCK = 64
+
+
+def _sq_dists_from(t, P):
+    """P = max(t - 2 P, 0) in place: the expanded-form distances from the
+    sums t = |a|^2 + |b|^2 and the inner products P = <a, b>."""
+    P *= 2.0
+    np.subtract(t, P, out=P)
+    np.maximum(P, 0.0, out=P)
+
+
+def _sym_blocks(Y, out, finish):
+    """A symmetric M x M matrix built on its upper triangle from Y's distances.
+
+    Y @ Y.T is formed whole, into out when one is lent (a C-order M x M
+    array) or a new array: a product of sub-blocks can round an inner
+    product differently. Each block of rows [a, b) is turned in place
+    into the distances D on its columns [a, M), in the operation order of
+    ``cross_sq_dists``, with the diagonal set to 0. finish(D, a, b, t)
+    then overwrites D with the matrix entries, where t is a scratch block
+    of D's shape, and D is copied transposed into rows [b, M). Y @ Y.T is
+    exactly symmetric and |y_i|^2 + |y_j|^2 commutes, so an entry that
+    finish computes from symmetric operands gets the bits of its mirror.
+    """
+    M = Y.shape[0]
+    sq = np.einsum("ij,ij->i", Y, Y)
+    A = np.matmul(Y, Y.T, out=out)
+    scratch = np.empty((min(_BLOCK, M), M))
+    for a in range(0, M, _BLOCK):
+        b = min(a + _BLOCK, M)
+        D, t = A[a:b, a:], scratch[:b - a, :M - a]
+        np.add(sq[a:b, None], sq[None, a:], out=t)
+        _sq_dists_from(t, D)
+        np.fill_diagonal(D, 0.0)
+        finish(D, a, b, t)
+        A[b:, a:b] = D[:, b - a:].T
+    return A
 
 
 def sym_se_matrix(Y, h2, out=None):
     """exp(D / -(2 h2)) for the distances D = cross_sq_dists(Y, Y).
 
     h2 > 0 is the squared bandwidth. Exactly symmetric, with a diagonal
-    of exactly 1. Y @ Y.T is formed whole: a product of sub-blocks can
-    round an inner product differently. Each block of rows [a, b) is
-    computed in place on its columns [a, M), in the operation order of
-    ``cross_sq_dists``, then copied transposed into rows [b, M). Y @ Y.T
-    is exactly symmetric and sq_i + sq_j commutes, so the lower triangle
-    of each diagonal block already holds the bits of the upper one.
-    The matrix is written into out, a C-order M x M array, when one is
-    lent (the Gram buffer of a workspace), and allocated otherwise; BLAS
-    writes Y @ Y.T into either the same way.
+    of exactly 1 (exp(-0.0)); built by ``_sym_blocks``, so every entry
+    has the bits of the whole-matrix formula. Written into out, a C-order
+    M x M array, when one is lent (the Gram buffer of a workspace), and
+    allocated otherwise.
     """
-    M = Y.shape[0]
     neg_c = -(2.0 * h2)
-    sq = np.einsum("ij,ij->i", Y, Y)
-    K = np.matmul(Y, Y.T, out=out)
-    buf = np.empty((min(_BLOCK, M), M))
-    for a in range(0, M, _BLOCK):
-        b = min(a + _BLOCK, M)
-        S = K[a:b, a:]
-        t = np.add(sq[a:b, None], sq[None, a:], out=buf[:b - a, :M - a])
-        S *= 2.0
-        np.subtract(t, S, out=S)
-        np.maximum(S, 0.0, out=S)
-        S /= neg_c
-        np.exp(S, out=S)
-        K[b:, a:b] = S[:, b - a:].T
-    np.fill_diagonal(K, 1.0)
-    return K
+
+    def finish(D, a, b, t):
+        D /= neg_c
+        np.exp(D, out=D)
+
+    return _sym_blocks(Y, out, finish)
 
 
 def cross_sq_dists(A, B):
@@ -103,12 +126,10 @@ def cross_sq_dists(A, B):
     """
     sa = np.einsum("ij,ij->i", A, A)
     sb = np.einsum("ij,ij->i", B, B)
-    D = sa[:, None] + sb[None, :]
+    t = sa[:, None] + sb[None, :]
     P = A @ B.T
-    P *= 2.0
-    np.subtract(D, P, out=D)
-    np.maximum(D, 0.0, out=D)
-    return D
+    _sq_dists_from(t, P)
+    return P
 
 
 # Cutoff of the SE row sums over N points: the cutoff r puts N kernel
@@ -259,70 +280,56 @@ def imq_stein_gram(Y, S, c2, ell2, beta, work=None):
     cross = (-(2/ell2) ku1) (sdiff + sdiff'),
     trace = ((-4 beta (beta-1)) u^(beta-2) D) / ell2^2 - (2d ku1) / ell2.
 
-    Y Y' and ss are formed whole, since products of sub-blocks can round
-    differently. work is a workspace of ``kernel.workspace(M)``, a
-    (C-order, Fortran-order) pair of M x M arrays: Y Y' goes into the
-    first and ss, which becomes the result, into the transpose of the
-    second, which is C-order. Without one, two M x M arrays are
-    allocated. The rest is done per row block [a, b) of 64 with in-place
-    ufuncs, in four reused block buffers: the distance rows D[a:b] are
-    finished from Y Y' in the operation order of ``cross_sq_dists``, with
-    their diagonal set to 0; the sdiff rows [a, b) and columns [a, b)
-    come from the same einsum, over a few rows of differences at a time
-    (``_score_diffs``), never the M x M x d tensor; and every entry sees
-    the operands of the formula above in its order. So the result has
-    the bits of the whole-matrix formula. At M = 400, d = 10 it holds
-    0.85 M x M arrays beyond the two M x M ones. At M <= 64 there is one
-    block, the sdiff columns are the transposed rows, and one einsum
-    forms them when M^2 d <= 2^14.
+    Built on its upper triangle by ``_sym_blocks``, with ss formed whole
+    as well. work is a workspace of ``kernel.workspace(M)``, a (C-order,
+    Fortran-order) pair of M x M arrays: ss goes into the first, and
+    Y Y', which becomes the result, into the transpose of the second,
+    which is C-order. Without one, two M x M arrays are allocated. Each
+    block [a:b, a:] needs sdiff[a:b, a:] + sdiff[a:, a:b]'; both come from
+    the same einsum, over a few rows of differences at a time
+    (``_score_diffs``), never the M x M x d tensor, and the diagonal
+    block's columns are its own rows. Every operand of the formula is
+    symmetric, so the result has the bits of the whole-matrix formula.
     """
     M, d = Y.shape
     if work is None:
-        D, K0 = np.empty((M, M)), np.empty((M, M))
+        SS, out = np.empty((M, M)), None
     else:
-        D, K0 = work[0], work[1].T
-    sq = np.einsum("ij,ij->i", Y, Y)
-    np.matmul(Y, Y.T, out=D)
-    np.matmul(S, S.T, out=K0)
-    n = min(_BLOCK, M)
-    buf = np.empty((3, n, M))
-    colbuf = np.empty(M * n)
+        SS, out = work[0], work[1].T
+    np.matmul(S, S.T, out=SS)
     c_trace = -4.0 * beta * (beta - 1.0)
     c_cross = -(2.0 / ell2)
-    for a in range(0, M, _BLOCK):
-        b = min(a + _BLOCK, M)
-        u, k, ku1 = buf[:, :b - a]
-        Db, out = D[a:b], K0[a:b]
-        # the distance rows, in cross_sq_dists' operation order
-        np.add(sq[a:b, None], sq[None, :], out=u)
-        Db *= 2.0
-        np.subtract(u, Db, out=Db)
-        np.maximum(Db, 0.0, out=Db)
-        np.fill_diagonal(Db[:, a:b], 0.0)
-        np.divide(Db, ell2, out=u)
+
+    def finish(D, a, b, u):
+        # allocated here, after the driver's Y Y': buffers allocated before
+        # it made glibc return memory to the kernel after every call, and
+        # the next call fault it in again (about 160 faults at M = 400)
+        buf = np.empty((3, b - a, M - a))
+        k, ku1 = buf[:2]
+        ss = SS[a:b, a:]
+        np.divide(D, ell2, out=u)
         np.add(c2, u, out=u)
         np.power(u, beta, out=k)
-        np.multiply(out, k, out=out)
+        np.multiply(ss, k, out=ss)
         np.power(u, beta - 1.0, out=ku1)
         np.multiply(beta, ku1, out=ku1)
         # trace, into u; k is scratch from here on
         np.power(u, beta - 2.0, out=u)
         np.multiply(c_trace, u, out=u)
-        np.multiply(u, Db, out=u)
+        np.multiply(u, D, out=u)
         np.divide(u, ell2**2, out=u)
         np.multiply(2.0 * d, ku1, out=k)
         np.divide(k, ell2, out=k)
         np.subtract(u, k, out=u)
-        # cross, into ku1: k = sdiff[a:b] + sdiff.T[a:b], from the rows
-        # and the columns [a, b) of sdiff, whose rows [a, b) are shared
-        _score_diffs(S[a:b], Y[a:b], Y, k)
-        cols = colbuf[:M * (b - a)].reshape(M, b - a)
-        cols[a:b] = k[:, a:b]
-        _score_diffs(S[:a], Y[:a], Y[a:b], cols[:a])
-        _score_diffs(S[b:], Y[b:], Y[a:b], cols[b:])
+        # cross, into ku1: k = sdiff[a:b, a:] + sdiff[a:, a:b]'
+        _score_diffs(S[a:b], Y[a:b], Y[a:], k)
+        cols = buf[2].reshape(M - a, b - a)
+        cols[:b - a] = k[:, :b - a]
+        _score_diffs(S[b:], Y[b:], Y[a:b], cols[b - a:])
         np.add(k, cols.T, out=k)
         np.multiply(c_cross, ku1, out=ku1)
         np.multiply(ku1, k, out=ku1)
-        np.add(out, ku1, out=out)
-        np.add(out, u, out=out)
-    return K0
+        np.add(ss, ku1, out=D)
+        np.add(D, u, out=D)
+
+    return _sym_blocks(Y, out, finish)

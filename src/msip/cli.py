@@ -170,6 +170,15 @@ def _cmd_invariance(args):
     return 0
 
 
+def _read_json(path):
+    """The JSON document in the file at path; ConfigError naming the file
+    if it is not valid UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _cmd_plot(args):
     rdir = Path(args.result_dir)
     summary_path = rdir / "summary.json"
@@ -179,8 +188,13 @@ def _cmd_plot(args):
             f"{rdir} does not contain summary.json and "
             f"final_particles.json (was it written by `msip run`?)"
         )
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    cfg = parse_config(json.dumps(summary["config"]))
+    summary = _read_json(summary_path)
+    if not (isinstance(summary, dict) and "config" in summary):
+        raise ConfigError(f"{summary_path}: no config section")
+    try:
+        cfg = parse_config(json.dumps(summary["config"]))
+    except ConfigError as exc:
+        raise ConfigError(f"{summary_path}: {exc}") from exc
     if cfg.target["dim"] != 2:
         raise ConfigError("plot requires a 2-D target")
     target = make_benchmark(
@@ -188,7 +202,7 @@ def _cmd_plot(args):
     )
     outdir = Path(args.out) if args.out is not None else rdir
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = json.loads(finals_path.read_text(encoding="utf-8"))
+    entries = _read_json(finals_path)
     for entry in entries:
         pc = ParticleConfiguration(
             Y=np.asarray(entry["Y"], dtype=float),

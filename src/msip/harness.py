@@ -47,7 +47,6 @@ _MSIP_ESTIMATOR = {
     "msip-gf": "gf",
     "msip-hybrid": "hybrid",
 }
-_NEEDS_SCORE = {"msip-gi", "msip-hybrid", "svgd", "a-svgd"}
 METRIC_NAMES = ("mmd2", "ksd", "loglik", "coverage")
 _FORMATS = ("csv", "json", "svg")
 
@@ -117,6 +116,15 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _section(data, key):
+    """A copy of the config section data[key], which must be an object;
+    an absent optional section is empty."""
+    value = data.get(key, {})
+    _require(isinstance(value, dict),
+             f"{key}: expected an object, got {value!r}")
+    return dict(value)
+
+
 def _as_int(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -172,11 +180,11 @@ def _validate_params(cfg):
 
 def parse_config(text):
     """Parse and validate a JSON run config, filling fixture defaults."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "config: expected a JSON object")
     _reject_unknown(
@@ -188,7 +196,7 @@ def parse_config(text):
     _require("algorithm" in data, "algorithm: section is required")
 
     # target ------------------------------------------------------------
-    tsec = dict(data["target"])
+    tsec = _section(data, "target")
     _reject_unknown(tsec, ("name", "dim", "seed"), "target.")
     _require("name" in tsec, "target.name: key is required")
     name = tsec["name"]
@@ -207,7 +215,7 @@ def parse_config(text):
     target_sec = {"name": name, "dim": dim, "seed": tseed}
 
     # algorithm ----------------------------------------------------------
-    asec = dict(data["algorithm"])
+    asec = _section(data, "algorithm")
     _reject_unknown(asec, ("name", "params"), "algorithm.")
     _require("name" in asec, "algorithm.name: key is required")
     aname = asec["name"]
@@ -241,15 +249,10 @@ def parse_config(text):
         )
         params["bounds"] = [_as_number(b[0], "algorithm.params.bounds"),
                             _as_number(b[1], "algorithm.params.bounds")]
-    if aname in _NEEDS_SCORE and not target.has_score:
-        raise ConfigError(
-            f"algorithm.name: {aname} requires a target with a score "
-            f"function; {name!r} provides none"
-        )
     algorithm_sec = {"name": aname, "params": params}
 
     # particles ----------------------------------------------------------
-    psec = dict(data.get("particles", {}))
+    psec = _section(data, "particles")
     _reject_unknown(psec, ("M", "init_mean", "init_cov_scale"), "particles.")
     M = _as_int(psec.get("M", 25), "particles.M", minimum=1)
     init_mean = psec.get("init_mean", row["init_mean"])
@@ -271,7 +274,7 @@ def parse_config(text):
     }
 
     # metrics -------------------------------------------------------------
-    msec = dict(data.get("metrics", {}))
+    msec = _section(data, "metrics")
     _reject_unknown(
         msec,
         ("list", "every_n_iters", "reference_sample_size",
@@ -328,7 +331,7 @@ def parse_config(text):
     }
 
     # trials ----------------------------------------------------------------
-    trsec = dict(data.get("trials", {}))
+    trsec = _section(data, "trials")
     _reject_unknown(trsec, ("count", "base_seed"), "trials.")
     count = _as_int(trsec.get("count", row["trials"]), "trials.count",
                     minimum=1)
@@ -336,7 +339,7 @@ def parse_config(text):
     trials_sec = {"count": count, "base_seed": base_seed}
 
     # output ------------------------------------------------------------
-    osec = dict(data.get("output", {}))
+    osec = _section(data, "output")
     _reject_unknown(osec, ("directory", "formats"), "output.")
     directory = osec.get("directory", "results")
     _require(isinstance(directory, str) and directory,

@@ -69,21 +69,24 @@ class TestNumpyImplementations:
                                    rtol=1e-12, atol=1e-12)
 
     def test_sym_sq_dists_exactly_symmetric_zero_diag(self):
-        # The distances the Stein Gram works on: it finishes them in place
-        # in the Gram buffer of a lent workspace, where they stay, with the
-        # bits of cross_sq_dists(Y, Y) and its diagonal set to 0.
+        # The distances both M x M builders work on: _sym_blocks with a
+        # finish that leaves them in place, allocated and in a lent buffer
+        # holding stale values. They have the bits of cross_sq_dists(Y, Y)
+        # with the diagonal set to 0, over one block, one block plus a
+        # row and several blocks.
         rng = np.random.default_rng(162)
-        Y = rng.standard_normal((20, 4)) * 3.0
-        work = workspace(20)
-        imq_stein_gram(Y, rng.standard_normal((20, 4)), 1.0, 0.5, -0.5,
-                       work=work)
-        D = work[0]
-        assert np.array_equal(D, D.T)
-        assert np.all(np.diag(D) == 0.0)
-        assert np.all(D >= 0.0)
-        ref = cross_sq_dists(Y, Y)
-        np.fill_diagonal(ref, 0.0)
-        assert D.tobytes() == ref.tobytes()
+        for M in (20, 65, 130):
+            Y = rng.standard_normal((M, 4)) * 3.0
+            ref = cross_sq_dists(Y, Y)
+            np.fill_diagonal(ref, 0.0)
+            lent = np.full((M, M), np.nan)
+            for out in (None, lent):
+                D = msip._backend._sym_blocks(Y, out, lambda *args: None)
+                assert np.array_equal(D, D.T)
+                assert np.all(np.diag(D) == 0.0)
+                assert np.all(D >= 0.0)
+                assert D.tobytes() == ref.tobytes()
+            assert np.shares_memory(D, lent)
 
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_cross_sq_dists_self_exactly_symmetric(self, layout):
@@ -221,11 +224,14 @@ class TestNumpyImplementations:
         assert np.all(np.diag(K0) > 0.0)
 
     def test_imq_stein_gram_symmetric(self):
+        # Exactly symmetric over the M x d grid of the bit test below.
         rng = np.random.default_rng(167)
-        Y = rng.standard_normal((8, 2))
-        S = rng.standard_normal((8, 2))
-        K0 = imq_stein_gram(Y, S, 1.0, 0.5, -0.5)
-        np.testing.assert_allclose(K0, K0.T, rtol=0, atol=1e-12)
+        for M in (1, 2, 63, 64, 65, 130, 400):
+            for d in (1, 2, 3, 10):
+                Y = rng.standard_normal((M, d))
+                S = rng.standard_normal((M, d))
+                K0 = imq_stein_gram(Y, S, 1.0, 0.5, -0.5)
+                assert np.array_equal(K0, K0.T)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
@@ -259,7 +265,7 @@ class TestNumpyImplementations:
 
     def test_traced_peaks_at_m400_d10(self):
         # The whole-matrix Stein Gram peaks at 19 M x M arrays here; the
-        # row-blocked one holds Y Y', the result, four row blocks and a
+        # row-blocked one holds S S', the result, four row blocks and a
         # few rows of differences: in a lent workspace, only the rest.
         M, d = 400, 10
         rng = np.random.default_rng(172)

@@ -66,6 +66,17 @@ class TestUsageErrors:
         assert main(["run", path]) == 1
         assert "particles.count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,value", [("target", "gmm"),
+                                               ("target", 5),
+                                               ("metrics", None)])
+    def test_section_not_an_object_exits_1(self, tmp_path, capsys, section,
+                                           value):
+        doc = run_doc(tmp_path, **{section: value})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: expected an object")
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("params,path", [({"T": 3.0}, "params.T"),
                                              ({"T": True}, "params.T"),
                                              ({"Q": 2.0}, "params.Q")])
@@ -238,6 +249,32 @@ class TestPlot:
         empty.mkdir()
         assert main(["plot", str(empty)]) == 1
         assert "summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("summary,message", [
+        (b"{not json", "summary.json: not valid JSON"),
+        (b"\xff\xfe", "summary.json: not valid JSON"),
+        (b"[1, 2]", "summary.json: no config section"),
+        (b'{"algorithm": "msip-f"}', "summary.json: no config section"),
+        (b'{"config": {"target": "gmm", "algorithm": {"name": "msip-f"}}}',
+         "summary.json: target: expected an object"),
+    ], ids=["not-json", "not-utf8", "not-an-object", "no-config",
+            "bad-config"])
+    def test_malformed_summary_exits_1(self, tmp_path, capsys, summary,
+                                       message):
+        (tmp_path / "summary.json").write_bytes(summary)
+        (tmp_path / "final_particles.json").write_text("[]", encoding="utf-8")
+        assert main(["plot", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_malformed_final_particles_exits_1(self, tmp_path, capsys):
+        summary = {"config": run_doc(tmp_path)}
+        (tmp_path / "summary.json").write_text(json.dumps(summary),
+                                               encoding="utf-8")
+        (tmp_path / "final_particles.json").write_text("[{", encoding="utf-8")
+        assert main(["plot", str(tmp_path), "--quiet"]) == 1
+        assert ("final_particles.json: not valid JSON"
+                in capsys.readouterr().err)
 
 
 class TestBench:

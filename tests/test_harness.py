@@ -333,6 +333,28 @@ class TestParseValidation:
             parse_config("{nope")
         with pytest.raises(ConfigError, match="JSON object"):
             parse_config("[1, 2]")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(b'{"target": "\xff"}')
+
+    @pytest.mark.parametrize("section,value", [
+        ("target", "gmm"),
+        ("target", 5),
+        ("target", [["name", "gmm"]]),
+        ("algorithm", None),
+        ("algorithm", "msip-f"),
+        ("particles", [["M", 5]]),
+        ("metrics", None),
+        ("trials", 3),
+        ("output", "results"),
+    ])
+    def test_sections_must_be_objects(self, section, value):
+        # a string, a number, null or a list of pairs is not a section
+        doc = {"target": {"name": "gmm", "dim": 2},
+               "algorithm": {"name": "msip-f"}}
+        doc[section] = value
+        with pytest.raises(ConfigError,
+                           match=rf"^{section}: expected an object, got "):
+            parse(doc)
 
 
 class TestRoundTrip:

@@ -183,6 +183,26 @@ class TestSolve:
         res = np.linalg.norm(b - G @ x)
         assert res <= 1e-10 * np.linalg.norm(b)
 
+    def test_residual_contract_for_generic_rhs_in_stated_range(self):
+        # The stated range: any right-hand side meets the contract while
+        # cond(K + lambda I) is below about 3e6. Here cond is about 2e6,
+        # within its (M + lambda) / lambda ceiling, and b is a generic
+        # draw, as a vector and as one block of columns.
+        M, lam = 30, 1e-5
+        rng = np.random.default_rng(24)
+        G = gram(rng.standard_normal((M, 2)), KernelSpec(sigma=2.0, lam=lam))
+        cond = np.linalg.cond(G)
+        assert 1.5e6 <= cond <= 3e6
+        assert cond <= (M + lam) / lam
+        B = rng.standard_normal((M, 50))
+        for b in B.T:
+            x = solve(G, b)
+            assert np.linalg.norm(b - G @ x) <= 1e-10 * np.linalg.norm(b)
+        X = solve(G, B)
+        for j in range(50):
+            res = np.linalg.norm(B[:, j] - G @ X[:, j])
+            assert res <= 1e-10 * np.linalg.norm(B[:, j])
+
     def test_multi_column_right_hand_side(self):
         rng = np.random.default_rng(23)
         Y = rng.standard_normal((15, 2))
