@@ -36,8 +36,16 @@ Two properties are weaker than exact arithmetic would give:
   sorts and tiles X once, and both sums share it. Each self row-sum is
   within 1e-12 relative of the exact sum. Each cross row-sum
   sum_i w_i k(x_n, y_i) is within (1e-12/N) sum_i |w_i| of it.
+
+The cross sums of M particles take one pass: the near (tile, particle)
+pairs come from one np.nonzero, and their kernel rows of 256 values are
+computed in chunks of whole tiles, at most max(M, 256) rows each, so
+two buffers of max(M, 256) x 256 doubles hold every chunk. A metric row
+makes a few dozen numpy calls this way rather than about a dozen per
+tile; each tile's sums keep the bits of the tile computed alone.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -78,17 +86,21 @@ def _sym_blocks(Y, out, finish):
     finish computes from symmetric operands gets the bits of its mirror.
     """
     M = Y.shape[0]
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be a C-order M x M array")
     sq = np.einsum("ij,ij->i", Y, Y)
     A = np.matmul(Y, Y.T, out=out)
+    diag = A.reshape(-1)[::M + 1]  # a view: A is C-order
     scratch = np.empty((min(_BLOCK, M), M))
     for a in range(0, M, _BLOCK):
         b = min(a + _BLOCK, M)
         D, t = A[a:b, a:], scratch[:b - a, :M - a]
         np.add(sq[a:b, None], sq[None, a:], out=t)
         _sq_dists_from(t, D)
-        np.fill_diagonal(D, 0.0)
+        diag[a:b] = 0.0
         finish(D, a, b, t)
-        A[b:, a:b] = D[:, b - a:].T
+        if b < M:
+            A[b:, a:b] = D[:, b - a:].T
     return A
 
 
@@ -151,17 +163,24 @@ class SeTiles:
     The points are sorted by grid cells of side r/4 and cut into tiles of
     256 rows, each with its bounding box. r is the cutoff of both sums,
     with N exp(-r^2 inv_two_sigma2) = 1e-12: a point farther than r from
-    another contributes less than 1e-12/N to its sum.
+    another contributes less than 1e-12/N to its sum. Xs holds the sorted
+    points one coordinate per row (d x N), and Xt the same coordinates
+    as d x n_tiles x 256, the last tile padded with copies of the last
+    point, which no sum reads.
     """
 
     def __init__(self, X, inv_two_sigma2):
-        n = X.shape[0]
+        n, d = X.shape
         self.inv_two_sigma2 = inv_two_sigma2
         self.r2 = math.log(n / _SUM_RTOL) / inv_two_sigma2
         cells = np.floor((X - X.min(axis=0)) / (0.25 * math.sqrt(self.r2)))
         self.order = np.lexsort(cells.T[::-1])
-        self.Xs = np.ascontiguousarray(X[self.order].T)  # d x n, sorted
         self.starts = np.arange(0, n, _TILE)
+        padded = np.empty((d, len(self.starts) * _TILE))
+        padded[:, :n] = X[self.order].T
+        padded[:, n:] = padded[:, n - 1:n]
+        self.Xs = padded[:, :n]
+        self.Xt = padded.reshape(d, len(self.starts), _TILE)
         self.lo = np.minimum.reduceat(self.Xs, self.starts, axis=1)
         self.hi = np.maximum.reduceat(self.Xs, self.starts, axis=1)
 
@@ -172,6 +191,17 @@ class SeTiles:
         return out
 
 
+def _near_pairs(tiles, Yt):
+    """(tile, particle) indices of the pairs whose bounding-box gap is
+    within the cutoff r, tile-major with particles ascending. The n_tiles
+    x M gap box is freed on return, before the kernel rows are formed."""
+    gap = np.maximum(tiles.lo[:, :, None] - Yt[:, None, :],
+                     Yt[:, None, :] - tiles.hi[:, :, None])
+    np.maximum(gap, 0.0, out=gap)
+    # ~(gap2 > r2) keeps NaN particles, so they still poison every sum
+    return np.nonzero(~(np.einsum("aij,aij->ij", gap, gap) > tiles.r2))
+
+
 def se_cross_rowsums(tiles, Y, w):
     """Per-row sums sum_i w_i exp(-||x_n - y_i||^2 inv_two_sigma2).
 
@@ -179,21 +209,38 @@ def se_cross_rowsums(tiles, Y, w):
     particle) pair whose bounding box lies farther than r from the
     particle is skipped, so each sum is within (1e-12/N) sum_i |w_i| of
     the exact one. The kept pairs use direct-difference distances.
+
+    One pass: the kernel rows of all kept pairs, a row of 256 values per
+    pair, are computed in chunks of whole tiles of at most max(M, 256)
+    rows (``_se_rows``), and each tile's sums are the product of its
+    kept weights with its rows, w[keep] @ K, as a tile computed alone.
     """
-    Xs, inv = tiles.Xs, tiles.inv_two_sigma2
+    n = tiles.Xs.shape[1]
     Yt = np.ascontiguousarray(Y.T)
-    gap = np.maximum(tiles.lo[:, :, None] - Yt[:, None, :],
-                     Yt[:, None, :] - tiles.hi[:, :, None])
-    np.maximum(gap, 0.0, out=gap)
-    # ~(gap2 > r2) keeps NaN particles, so they still poison every sum
-    near = ~(np.einsum("aij,aij->ij", gap, gap) > tiles.r2)
-    sums = np.zeros(Xs.shape[1])
-    buf = np.empty((2, Y.shape[0], _TILE))
-    for i, a in enumerate(tiles.starts):
-        keep = np.flatnonzero(near[i])
-        if keep.size:
-            K = _se_tile(Yt[:, keep], Xs[:, a:a + _TILE], inv, buf)
-            sums[a:a + _TILE] = w[keep] @ K
+    tile, particle = _near_pairs(tiles, Yt)
+    # the tiles with kept pairs, and where each one's rows start and end
+    counts = np.bincount(tile, minlength=len(tiles.starts))
+    held = np.flatnonzero(counts).tolist()
+    ends = np.cumsum(counts[held]).tolist()
+    starts = [0] + ends[:-1]
+    cap = max(Y.shape[0], _TILE)
+    buf = np.empty((2, min(cap, len(tile)), _TILE))
+    sums = np.zeros(n)
+    first = 0  # index into held of the chunk's first tile
+    while first < len(held):
+        r0 = starts[first]
+        stop = bisect.bisect_right(ends, r0 + cap, lo=first)
+        r1 = ends[stop - 1]
+        keep = particle[r0:r1]
+        K = _se_rows(Yt[:, keep], tiles.Xt, tile[r0:r1],
+                     tiles.inv_two_sigma2, buf)
+        wk = w[keep]
+        # the last tile reads only its real points, with a row stride of
+        # 256, which BLAS sums as it did for the tile alone
+        for j in range(first, stop):
+            a, b, c = starts[j] - r0, ends[j] - r0, held[j] * _TILE
+            sums[c:c + _TILE] = wk[a:b] @ K[a:b, :n - c]
+        first = stop
     return tiles.unsort(sums)
 
 
@@ -234,8 +281,7 @@ def _se_tile(A, B, inv_two_sigma2, buf):
 
     A and B hold one coordinate per row. The distances are exactly
     symmetric with an exactly zero diagonal, so a tile against itself has
-    ones on its diagonal. Exponents below _LOWEST_EXPONENT are raised to
-    it first.
+    ones on its diagonal.
     """
     K = buf[0, :A.shape[1], :B.shape[1]]
     t = buf[1, :A.shape[1], :B.shape[1]]
@@ -245,6 +291,29 @@ def _se_tile(A, B, inv_two_sigma2, buf):
         np.subtract(A[a][:, None], B[a][None, :], out=t)
         np.multiply(t, t, out=t)
         np.add(K, t, out=K)
+    return _se_exp(K, inv_two_sigma2)
+
+
+def _se_rows(Yk, Xt, tile, inv_two_sigma2, buf):
+    """Kernel row k of particle Yk[:, k] against all 256 points of tile
+    tile[k] of Xt, into the first rows of buf[0]: the operations of
+    ``_se_tile`` on each entry, with the tile's coordinates gathered into
+    buf[1] one at a time."""
+    K, t = buf[0, :len(tile)], buf[1, :len(tile)]
+    np.take(Xt[0], tile, axis=0, out=K, mode="clip")
+    np.subtract(Yk[0][:, None], K, out=K)
+    np.multiply(K, K, out=K)
+    for a in range(1, Yk.shape[0]):
+        np.take(Xt[a], tile, axis=0, out=t, mode="clip")
+        np.subtract(Yk[a][:, None], t, out=t)
+        np.multiply(t, t, out=t)
+        np.add(K, t, out=K)
+    return _se_exp(K, inv_two_sigma2)
+
+
+def _se_exp(K, inv_two_sigma2):
+    """exp(-inv_two_sigma2 * K) in place, with exponents below
+    _LOWEST_EXPONENT raised to it first."""
     np.multiply(K, -inv_two_sigma2, out=K)
     np.maximum(K, _LOWEST_EXPONENT, out=K)
     return np.exp(K, out=K)

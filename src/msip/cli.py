@@ -202,17 +202,51 @@ def _cmd_plot(args):
     )
     outdir = Path(args.out) if args.out is not None else rdir
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = _read_json(finals_path)
-    for entry in entries:
-        pc = ParticleConfiguration(
-            Y=np.asarray(entry["Y"], dtype=float),
-            w=np.asarray(entry["w"], dtype=float),
-        )
-        path = outdir / f"trial{entry['trial']:03d}.svg"
+    for trial, pc in _final_particles(finals_path):
+        path = outdir / f"trial{trial:03d}.svg"
         emit_scatter_svg(pc, target, path)
         if not args.quiet:
             print(f"wrote {path}")
     return 0
+
+
+def _final_particles(path):
+    """[(trial, ParticleConfiguration)] of a final_particles.json, each
+    entry an object with an integer trial, a finite n x 2 Y and a finite
+    w of length n; ConfigError naming the file and the entry otherwise.
+    Every entry is checked before any plot is written."""
+    entries = _read_json(path)
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: expected a list of trials")
+    out = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: entry {i}"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: expected an object")
+        trial = entry.get("trial")
+        if not isinstance(trial, int) or isinstance(trial, bool):
+            raise ConfigError(f"{where}: trial must be an integer")
+        Y, w = _finite_array(entry, "Y"), _finite_array(entry, "w")
+        if Y is None or Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != 2:
+            raise ConfigError(f"{where}: Y must be a finite n x 2 array")
+        if w is None or w.shape != (Y.shape[0],):
+            raise ConfigError(
+                f"{where}: w must be a finite array of length "
+                f"{Y.shape[0]}, one weight per row of Y")
+        out.append((trial, ParticleConfiguration(Y=Y, w=w)))
+    return out
+
+
+def _finite_array(entry, key):
+    """entry[key] as a float array if it is a (nested) list of finite
+    JSON numbers, else None."""
+    try:
+        a = np.asarray(entry[key])
+    except (KeyError, ValueError):  # missing, or ragged lists
+        return None
+    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        return None
+    return a.astype(float)
 
 
 def _cmd_bench(args):

@@ -12,6 +12,7 @@ analytic estimator reads the exact embeddings of a Gaussian-mixture
 target.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,14 @@ def mc_inner_quadrature(q, d, rng_seed):
     if q < 1:
         raise ValueError("Q must be at least 1")
     return np.random.default_rng(rng_seed).standard_normal((q, d))
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_weights(q):
+    """The weights u_q = 1/Q of a Q-node rule, built once per Q; read-only."""
+    u = np.full(q, 1.0 / q)
+    u.flags.writeable = False
+    return u
 
 
 @dataclass
@@ -109,13 +118,13 @@ def estimate_embeddings(t, Y, sigma, nodes, estimator, gamma=1.0):
     else:
         logpi = t.log_density(flat)
     logpi = logpi.reshape(m, q)
-    if not np.all(np.isfinite(logpi)):
+    if not np.isfinite(logpi).all():
         bad = np.unique(np.nonzero(~np.isfinite(logpi))[0])
         raise NonFiniteDensityError(bad.tolist())
     s = logpi.max(axis=1)
     w = np.exp(logpi - s[:, None])
     scale = np.exp(s + log_omega(sigma, d))
-    u = np.full(q, 1.0 / q)
+    u = _uniform_weights(q)
     v0 = scale * (w @ u)
     wu = w * u
     if use_gf:

@@ -6,6 +6,11 @@ contract promises them.
 """
 
 
+def _at(iteration):
+    """The message suffix naming the iteration of a run's failure."""
+    return "" if iteration is None else f" at iteration {iteration}"
+
+
 class MsipError(Exception):
     """Base class for all library errors."""
 
@@ -25,17 +30,19 @@ class SingularGramError(MsipError):
 class DegenerateWeightError(MsipError):
     """Some optimal weight underflowed the representable range.
 
-    ``particles`` lists the offending particle indices; callers decide the
+    ``particles`` lists the offending particle indices and ``iteration``
+    the iteration of the step (None outside a run); callers decide the
     policy (the runner freezes them for the iteration).
     """
 
-    def __init__(self, particles):
+    def __init__(self, particles, iteration=None):
         particles = list(particles)
         super().__init__(
             "degenerate weight (|w| < weight floor) for particle(s) "
-            f"{particles}"
+            f"{particles}{_at(iteration)}"
         )
         self.particles = particles
+        self.iteration = iteration
 
 
 class DivergedRunError(MsipError):
@@ -51,15 +58,20 @@ class AnalyticUnavailableError(MsipError):
 
 
 class NonFiniteDensityError(MsipError):
-    """Target log-density returned a non-finite value at a probe point."""
+    """Target log-density returned a non-finite value at a probe point.
 
-    def __init__(self, particles):
+    ``particles`` lists the particles whose probe points it was, and
+    ``iteration`` the iteration of the step (None outside a run).
+    """
+
+    def __init__(self, particles, iteration=None):
         particles = list(particles)
         super().__init__(
             f"non-finite log-density at probe point(s) of particle(s) "
-            f"{particles}"
+            f"{particles}{_at(iteration)}"
         )
         self.particles = particles
+        self.iteration = iteration
 
 
 class NonNormalizableError(MsipError):

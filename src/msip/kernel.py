@@ -107,7 +107,7 @@ def gram(Y, spec, out=None):
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ValueError(f"Y must be M x d with M >= 1, got shape {Y.shape}")
     K = _backend.sym_se_matrix(Y, spec.sigma**2, out=out)
-    np.fill_diagonal(K, 1.0 + spec.lam)
+    K.reshape(-1)[::K.shape[0] + 1] = 1.0 + spec.lam  # K is C-order
     return K
 
 

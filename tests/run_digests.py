@@ -8,7 +8,11 @@ on every config, wall time aside, at the same BLAS thread count:
     OPENBLAS_NUM_THREADS=1 python3 tests/run_digests.py > digests.txt
 
 tests/digests.txt holds the lines for one thread; tests/test_digests.py
-checks them.
+checks them. Named configs print only their own lines, in the order of
+the matrix, and --list prints the names:
+
+    OPENBLAS_NUM_THREADS=1 python3 tests/run_digests.py msip-gf/funnel
+    python3 tests/run_digests.py --list
 
 The matrix: every algorithm on every benchmark at T = 40 with M = 6,
 SVGD and a-SVGD runs that diverge, degenerate weights, a 10-D mixture,
@@ -16,6 +20,7 @@ msip-gf without bounds, and three runs at T = 10 with M > 128, whose
 kernel matrices span several row blocks of 64; 2 trials each.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -91,9 +96,24 @@ def digest(results):
     return h.hexdigest()
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="configs to run (default: the whole matrix)")
+    parser.add_argument("--list", action="store_true",
+                        help="print the config names and exit")
+    args = parser.parse_args(argv)
+    configs = matrix()
+    unknown = set(args.names) - {name for name, _ in configs}
+    if unknown:
+        parser.error(f"unknown config(s) {sorted(unknown)}; see --list")
+    if args.list:
+        print("\n".join(name for name, _ in configs))
+        return
     warnings.simplefilter("ignore")
-    for name, doc in matrix():
+    for name, doc in configs:
+        if args.names and name not in args.names:
+            continue
         with np.errstate(all="ignore"):
             results = run_experiment(parse_config(json.dumps(doc)))
         print(f"{name} {digest(results)}")

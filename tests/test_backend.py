@@ -51,6 +51,38 @@ def whole_stein_gram(Y, S, c2, ell2, beta):
     return ss * k + cross + trace
 
 
+def per_tile_cross_rowsums(tiles, Y, w):
+    """The cross sums one tile at a time, each tile's kept particles
+    against its 256 points in one kernel block: the reference whose bits
+    the one-pass ``se_cross_rowsums`` keeps."""
+    Xs = np.ascontiguousarray(tiles.Xs)
+    inv = tiles.inv_two_sigma2
+    Yt = np.ascontiguousarray(Y.T)
+    gap = np.maximum(tiles.lo[:, :, None] - Yt[:, None, :],
+                     Yt[:, None, :] - tiles.hi[:, :, None])
+    np.maximum(gap, 0.0, out=gap)
+    near = ~(np.einsum("aij,aij->ij", gap, gap) > tiles.r2)
+    sums = np.zeros(Xs.shape[1])
+    buf = np.empty((2, Y.shape[0], 256))
+    for i, a in enumerate(tiles.starts):
+        keep = np.flatnonzero(near[i])
+        if keep.size:
+            A, B = Yt[:, keep], Xs[:, a:a + 256]
+            K = buf[0, :A.shape[1], :B.shape[1]]
+            t = buf[1, :A.shape[1], :B.shape[1]]
+            np.subtract(A[0][:, None], B[0][None, :], out=K)
+            np.multiply(K, K, out=K)
+            for c in range(1, A.shape[0]):
+                np.subtract(A[c][:, None], B[c][None, :], out=t)
+                np.multiply(t, t, out=t)
+                np.add(K, t, out=K)
+            np.multiply(K, -inv, out=K)
+            np.maximum(K, -700.0, out=K)
+            np.exp(K, out=K)
+            sums[a:a + 256] = w[keep] @ K
+    return tiles.unsort(sums)
+
+
 def _layouts():
     """One 20 x 4 sample in four memory layouts. numpy forms Y @ Y.T with
     a symmetric rank-k update for the first three and with its own loop
@@ -87,6 +119,11 @@ class TestNumpyImplementations:
                 assert np.all(D >= 0.0)
                 assert D.tobytes() == ref.tobytes()
             assert np.shares_memory(D, lent)
+            # the diagonal is written through a flat view, which needs a
+            # C-order buffer
+            with pytest.raises(ValueError, match="C-order"):
+                msip._backend._sym_blocks(Y, np.empty((M, M), order="F"),
+                                          lambda *args: None)
 
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_cross_sq_dists_self_exactly_symmetric(self, layout):
@@ -174,17 +211,17 @@ class TestNumpyImplementations:
         ])
         w = rng.uniform(-1.0, 1.0, size=Y.shape[0])
         inv = 1.0 / (2.0 * 0.5**2)
-        columns = []
-        se_tile = msip._backend._se_tile
+        rows = []
+        se_rows = msip._backend._se_rows
 
-        def counted(A, B, *args):
-            columns.append(A.shape[1])
-            return se_tile(A, B, *args)
+        def counted(Yk, Xt, tile, *args):
+            rows.append(len(tile))
+            return se_rows(Yk, Xt, tile, *args)
 
-        monkeypatch.setattr(msip._backend, "_se_tile", counted)
+        monkeypatch.setattr(msip._backend, "_se_rows", counted)
         tiles = SeTiles(X, inv)
         sums = se_cross_rowsums(tiles, Y, w)
-        assert sum(columns) < len(tiles.starts) * Y.shape[0]
+        assert 0 < sum(rows) < len(tiles.starts) * Y.shape[0]
         K = np.exp(-inv * np.sum((X[:, None, :] - Y[None, :, :]) ** 2,
                                  axis=2))
         direct = K @ w
@@ -211,6 +248,77 @@ class TestNumpyImplementations:
         with_far = se_cross_rowsums(tiles, np.vstack([Y, far]),
                                     np.append(w, 0.7))
         assert np.array_equal(with_far, se_cross_rowsums(tiles, Y, w))
+
+    @pytest.mark.parametrize("N", [1, 255, 257, 10_000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 25, 64, 65, 400])
+    def test_se_cross_rowsums_match_per_tile_bits(self, M, d, N):
+        # One tile, one short of a tile, one past it, 40 tiles; at
+        # sigma = 0.5 some pairs are cut, at sigma = 4 every pair is kept.
+        rng = np.random.default_rng(1000 * M + 10 * d + N % 7)
+        X = 3.0 * rng.standard_normal((N, d))
+        Y = 4.0 * rng.standard_normal((M, d))
+        w = rng.uniform(-1.0, 1.0, size=M)
+        for sigma in (0.5, 4.0):
+            tiles = SeTiles(X, 1.0 / (2.0 * sigma**2))
+            assert (se_cross_rowsums(tiles, Y, w).tobytes()
+                    == per_tile_cross_rowsums(tiles, Y, w).tobytes())
+
+    @pytest.mark.parametrize("M,chunks", [(64, 10), (256, 40), (400, 40)])
+    def test_se_cross_rowsums_chunks_of_whole_tiles(self, monkeypatch, M,
+                                                    chunks):
+        # Every pair kept: 40 tiles of M rows each go in chunks of whole
+        # tiles of at most max(M, 256) rows, with the per-tile bits.
+        rng = np.random.default_rng(173)
+        X = rng.standard_normal((10_000, 2))
+        Y = rng.standard_normal((M, 2))
+        w = rng.uniform(-1.0, 1.0, size=M)
+        tiles = SeTiles(X, 1.0 / (2.0 * 10.0**2))
+        rows = []
+        se_rows = msip._backend._se_rows
+
+        def counted(Yk, Xt, tile, *args):
+            rows.append(len(tile))
+            return se_rows(Yk, Xt, tile, *args)
+
+        monkeypatch.setattr(msip._backend, "_se_rows", counted)
+        sums = se_cross_rowsums(tiles, Y, w)
+        assert len(rows) == chunks
+        assert sum(rows) == 40 * M
+        assert all(r % M == 0 and r <= max(M, 256) for r in rows)
+        assert sums.tobytes() == per_tile_cross_rowsums(tiles, Y, w).tobytes()
+
+    def test_se_cross_rowsums_no_near_pair_and_nan_particle(self):
+        rng = np.random.default_rng(174)
+        X = rng.standard_normal((1000, 2))
+        tiles = SeTiles(X, 2.0)
+        far = rng.standard_normal((5, 2)) + 100.0
+        w = rng.uniform(-1.0, 1.0, size=5)
+        sums = se_cross_rowsums(tiles, far, w)
+        assert sums.tobytes() == np.zeros(1000).tobytes()
+        assert sums.tobytes() == per_tile_cross_rowsums(tiles, far, w).tobytes()
+        # a NaN particle is near every tile, so every sum is NaN, as it is
+        # one tile at a time, even with the other particles far away
+        for Y in (far, rng.standard_normal((5, 2))):
+            Y = Y.copy()
+            Y[2, 1] = np.nan
+            sums = se_cross_rowsums(tiles, Y, w)
+            assert np.all(np.isnan(sums))
+            assert sums.tobytes() == per_tile_cross_rowsums(tiles, Y,
+                                                            w).tobytes()
+
+    @pytest.mark.parametrize("M", [25, 400])
+    def test_se_cross_rowsums_peak(self, M):
+        # Two chunk buffers of max(M, 256) x 256 doubles, plus what grows
+        # with N: the sums, the pair indices and the gap box, which scale
+        # with n_tiles * M <= 1.6 N at M = 400. Every pair is kept.
+        N = 10_000
+        rng = np.random.default_rng(175)
+        tiles = SeTiles(rng.standard_normal((N, 2)), 1.0 / (2.0 * 10.0**2))
+        Y = rng.standard_normal((M, 2))
+        w = rng.uniform(-1.0, 1.0, size=M)
+        bound = (2 * max(M, 256) * 256 + 8 * N) * 8
+        assert conftest.traced_peak(se_cross_rowsums, tiles, Y, w) <= bound
 
     def test_imq_stein_diagonal_closed_form(self):
         # k0(y, y) = |s(y)|^2 - 2 d beta / ell2, positive for beta < 0.

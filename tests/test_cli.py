@@ -276,6 +276,51 @@ class TestPlot:
         assert ("final_particles.json: not valid JSON"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("finals,message", [
+        ({"trial": 0}, "final_particles.json: expected a list of trials"),
+        ([{}], "entry 0: trial must be an integer"),
+        ([5], "entry 0: expected an object"),
+        ([{"trial": True, "Y": [[0, 0]], "w": [1]}],
+         "entry 0: trial must be an integer"),
+        ([{"trial": 0, "Y": [[0, 0]], "w": [1]},
+          {"trial": 1.5, "Y": [[0, 0]], "w": [1]}],
+         "entry 1: trial must be an integer"),
+        ([{"trial": 0, "w": [1]}], "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [[0, None]], "w": [1]}],
+         "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [[0, 1, 2]], "w": [1]}],
+         "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [[0, 1], [2]], "w": [1, 1]}],
+         "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [["0", "1"]], "w": [1]}],
+         "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [], "w": []}], "entry 0: Y must be a finite n x 2"),
+        ([{"trial": 0, "Y": [[0, 0]], "w": [1, 2]}],
+         "entry 0: w must be a finite array of length 1"),
+        ([{"trial": 0, "Y": [[0, 0]]}],
+         "entry 0: w must be a finite array of length 1"),
+        ([{"trial": 0, "Y": [[0, 0], [1, 1]], "w": [1, None]}],
+         "entry 0: w must be a finite array of length 2"),
+    ], ids=["not-a-list", "empty-entry", "not-an-object", "bool-trial",
+            "float-trial-second-entry", "no-Y", "null-in-Y", "three-columns",
+            "ragged-Y", "string-Y", "no-particles", "w-too-long", "no-w",
+            "null-in-w"])
+    def test_malformed_final_entries_exit_1(self, tmp_path, capsys, finals,
+                                            message):
+        summary = {"config": run_doc(tmp_path)}
+        (tmp_path / "summary.json").write_text(json.dumps(summary),
+                                               encoding="utf-8")
+        (tmp_path / "final_particles.json").write_text(json.dumps(finals),
+                                                       encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot", str(tmp_path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "final_particles.json" in err
+        # no plot is written before every entry is checked
+        assert not list(out.glob("*.svg"))
+
 
 class TestBench:
     def test_single_criterion(self, capsys):

@@ -20,6 +20,7 @@ from msip.errors import (
     AnalyticUnavailableError,
     DegenerateWeightError,
     DivergedRunError,
+    NonFiniteDensityError,
 )
 from msip.embeddings import estimate_embeddings, mc_inner_quadrature
 from msip.harness import build_params, parse_config
@@ -146,16 +147,59 @@ class TestStep:
         Y_next, _, _ = msip_step(np.array([[2.0]]), STD_NORMAL, p)
         assert Y_next[0, 0] == 0.1
 
+    def test_bounds_clamp_is_clip_bit_for_bit(self):
+        # Bounds taken from the unbounded step's own outputs, so that some
+        # values sit exactly at a bound, some beyond it and some inside.
+        target = make_benchmark("gmm", 2, seed=3)
+        Y = np.random.default_rng(100).uniform(-2.0, 9.5, size=(40, 2))
+        free, _, _ = msip_step(Y, target, params())
+        values = np.sort(free, axis=None)
+        for lo, hi in ((values[10], values[-10]), (values[0], values[-1]),
+                       (-1e-3, 1e-3), (values[39], values[40])):
+            clamped, _, _ = msip_step(Y, target, params(bounds=(lo, hi)))
+            expected = np.clip(free, lo, hi)
+            assert clamped.tobytes() == expected.tobytes()
+            assert np.any(clamped == lo) and np.any(clamped == hi)
+
     def test_freeze_keeps_degenerate_particle_in_place(self):
         target = make_benchmark("gmm", 2, seed=3)
         near = reference_samples(target, 5, seed=95)
         far = np.array([[500.0, 500.0]])
         Y = np.vstack([near, far])
-        Y_next, _, diag = msip_step(Y, target, params(),
-                                    degenerate="freeze")
+        p = params()
+        Y_next, w, diag = msip_step(Y, target, p, degenerate="freeze")
         assert diag["frozen"] == [5]
         assert np.array_equal(Y_next[5], Y[5])
         assert not np.allclose(Y_next[:5], Y[:5])
+        # the other rows are the damped map, with the weights it returns
+        est = estimate_embeddings(target, Y, p.kernel.sigma, None,
+                                  "analytic")
+        w_ref, Z = solve(gram(Y, p.kernel), est.v0_hat, est.v1_hat)
+        assert w.tobytes() == w_ref.tobytes()
+        moved = (1.0 - p.eta) * Y[:5] + p.eta * (Z[:5] / w_ref[:5, None])
+        assert Y_next[:5].tobytes() == moved.tobytes()
+
+    def test_non_finite_map_names_particles_and_iteration(self):
+        hot = TargetDensity(
+            dim=1,
+            base_log_density=lambda x: np.full(x.shape[0], 1.0e4),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                    DivergedRunError,
+                    match=r"particle\(s\) \[0, 1, 2\] at iteration 5$"):
+                msip_step(np.array([[0.0], [1.0], [2.0]]), hot,
+                          params(estimator="gf", Q=3), iteration=5)
+
+    def test_degenerate_weight_names_iteration(self):
+        target = make_benchmark("gmm", 2, seed=3)
+        Y = np.vstack([reference_samples(target, 5, seed=93),
+                       [[500.0, 500.0]]])
+        with pytest.raises(DegenerateWeightError) as info:
+            msip_step(Y, target, params(eta=1.0), iteration=7)
+        assert info.value.particles == [5]
+        assert info.value.iteration == 7
+        assert str(info.value).endswith("particle(s) [5] at iteration 7")
 
 
 def frozen_log(log):
@@ -325,6 +369,36 @@ class TestRun:
             with pytest.raises(DivergedRunError,
                                match=r"particle\(s\) \[.*\] at iteration 0"):
                 run_msip(hot, p, np.zeros((4, 1)))
+
+    def test_non_finite_density_names_particles_and_iteration(self):
+        # The log-density turns NaN at the probes of particles 1 and 3 from
+        # the fourth evaluation on, the one of iteration 3.
+        calls = []
+
+        def logp(x):
+            calls.append(x.shape[0])
+            out = -0.5 * x[:, 0] ** 2
+            if len(calls) > 3:
+                out[3:6] = np.nan
+                out[9:] = np.nan
+            return out
+
+        sick = TargetDensity(dim=1, base_log_density=logp)
+        p = params(estimator="gf", Q=3, T=10)
+        seen = []
+        with pytest.raises(NonFiniteDensityError) as info:
+            run_msip(sick, p, np.linspace(-1.0, 1.0, 4)[:, None],
+                     callbacks=[lambda it, Y, w, diag: seen.append(it)])
+        assert info.value.iteration == 3
+        assert info.value.particles == [1, 3]
+        assert str(info.value).endswith("particle(s) [1, 3] at iteration 3")
+        assert seen == [0, 1, 2]
+        # outside a run the error names no iteration
+        with pytest.raises(NonFiniteDensityError) as info:
+            estimate_embeddings(sick, np.zeros((4, 1)), 0.5,
+                                np.zeros((3, 1)), "gf")
+        assert info.value.iteration is None
+        assert str(info.value).endswith("particle(s) [1, 3]")
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError, match="finite"):

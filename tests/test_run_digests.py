@@ -1,0 +1,39 @@
+"""The selection options of tests/run_digests.py: --list and named
+configs. The whole matrix is checked in tests/test_digests.py."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SCRIPT = HERE / "run_digests.py"
+
+
+def _run(*args):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, str(SCRIPT), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_list_prints_the_names_of_the_matrix():
+    names = [line.split()[0] for line in
+             (HERE / "digests.txt").read_text(encoding="utf-8").splitlines()]
+    out = _run("--list")
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == names
+
+
+def test_named_configs_print_their_committed_lines_in_matrix_order():
+    lines = (HERE / "digests.txt").read_text(encoding="utf-8").splitlines()
+    wanted = {"msip-gf/funnel", "cbs/himmelblau"}
+    out = _run("msip-gf/funnel", "cbs/himmelblau")
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [
+        line for line in lines if line.split()[0] in wanted]
+
+
+def test_unknown_name_is_a_usage_error():
+    out = _run("msip-gf/nowhere")
+    assert out.returncode == 2
+    assert "msip-gf/nowhere" in out.stderr
