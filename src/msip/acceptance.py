@@ -7,6 +7,7 @@ individually. Every check has a stated wall-clock budget that is part of
 the pass condition.
 """
 
+import functools
 import json
 import math
 import tempfile
@@ -27,7 +28,7 @@ from .dynamics import (
 from .embeddings import estimate_embeddings, mc_inner_quadrature
 from .harness import parse_config, run_experiment, write_outputs
 from .kernel import KernelSpec, log_omega
-from .metrics import SampleMmd, mmd2_vs_gmm
+from .metrics import IMQ_BETA, IMQ_C2, SampleMmd, mmd2_vs_gmm
 from .targets import (
     GmmTarget,
     from_gmm,
@@ -58,9 +59,14 @@ def _finish(number, name, budget, started, ok, detail):
 
 # ------------------------------------------------------ 1: exact gradient
 
+# The gradient check's settings and pass line; `msip grad-check` reads them
+GRAD_CHECK_CONFIGS = 20
+GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_SEED = 2026
+GRAD_CHECK_TOL = 1e-5
 
-def gradient_check(target, M=8, sigma=0.5, lam=1e-6, n_configs=20,
-                   seed=2026, step=1e-5):
+
+def gradient_check(target, M=8, sigma=0.5, lam=1e-6, seed=GRAD_CHECK_SEED):
     """Max relative Frobenius error of the analytic objective gradient
     against central finite differences over random configurations.
 
@@ -72,20 +78,18 @@ def gradient_check(target, M=8, sigma=0.5, lam=1e-6, n_configs=20,
     """
     p = MsipParams(kernel=KernelSpec(sigma, lam), estimator="analytic")
     rng = np.random.default_rng(seed)
+    step = GRAD_CHECK_STEP
     worst = 0.0
-    for c in range(n_configs):
+    for c in range(GRAD_CHECK_CONFIGS):
         Y = reference_samples(target, M, [seed, c]) \
             + 0.5 * rng.standard_normal((M, target.dim))
         G = objective_gradient(Y, target, p)
         fd = np.empty_like(G)
-        for i in range(M):
-            for j in range(target.dim):
-                Yp = Y.copy()
-                Yp[i, j] += step
-                Ym = Y.copy()
-                Ym[i, j] -= step
-                fd[i, j] = (objective(Yp, target, p)
-                            - objective(Ym, target, p)) / (2.0 * step)
+        for i, j in np.ndindex(Y.shape):
+            E = np.zeros_like(Y)
+            E[i, j] = step
+            fd[i, j] = (objective(Y + E, target, p)
+                        - objective(Y - E, target, p)) / (2.0 * step)
         denom = max(float(np.linalg.norm(G)), 1e-30)
         worst = max(worst, float(np.linalg.norm(fd - G)) / denom)
     return worst
@@ -96,16 +100,22 @@ def criterion_1():
     target = make_benchmark("gmm5-aniso-2d", 2)
     worst = gradient_check(target)
     return _finish(
-        1, "gradient-exactness", 10.0, started, worst <= 1e-5,
-        f"max relative Frobenius error {worst:.3g} over 20 random "
-        f"configurations (tolerance 1e-05)",
+        1, "gradient-exactness", 10.0, started, worst <= GRAD_CHECK_TOL,
+        f"max relative Frobenius error {worst:.3g} over {GRAD_CHECK_CONFIGS} "
+        f"random configurations (tolerance {GRAD_CHECK_TOL:g})",
     )
 
 
 # --------------------------------------- 2: normalization invariance of map
 
+# The invariance check's settings and pass line; `msip invariance` reads them
+INVARIANCE_OFFSETS = (-40.0, 40.0)
+INVARIANCE_M = 12
+INVARIANCE_SEED = 101
+INVARIANCE_TOL = 1e-10
 
-def invariance_suite(offsets=(-40.0, 40.0), M=12, seed=101):
+
+def invariance_suite():
     """Max relative change of the particle map under constant shifts of
     the unnormalized log-density, across all estimator variants."""
     variants = [
@@ -119,17 +129,18 @@ def invariance_suite(offsets=(-40.0, 40.0), M=12, seed=101):
         (make_benchmark("gmm", 2, seed=0), 0.5, np.array([4.0, 4.0]), 2.0),
         (make_benchmark("funnel", 2), 0.1, np.zeros(2), 1.0),
     ]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(INVARIANCE_SEED)
     worst = 0.0
     for target, sigma, center, spread in cases:
-        Y = center + spread * rng.standard_normal((M, target.dim))
+        Y = center + spread * rng.standard_normal((INVARIANCE_M, target.dim))
         for est, q, gamma in variants:
             # eta = 1 without bounds: the step is the map Psi itself
             p = MsipParams(kernel=KernelSpec(sigma, 1e-6), eta=1.0,
-                           estimator=est, Q=q, gamma=gamma, seed=seed)
+                           estimator=est, Q=q, gamma=gamma,
+                           seed=INVARIANCE_SEED)
             base = msip_step(Y, target, p)[0]
             scale = max(float(np.linalg.norm(base)), 1e-30)
-            for off in offsets:
+            for off in INVARIANCE_OFFSETS:
                 shifted = msip_step(Y, target.with_offset(off), p)[0]
                 worst = max(
                     worst, float(np.linalg.norm(shifted - base)) / scale
@@ -141,9 +152,9 @@ def criterion_2():
     started = time.perf_counter()
     worst = invariance_suite()
     return _finish(
-        2, "normalization-invariance", 10.0, started, worst <= 1e-10,
-        f"max relative map deviation {worst:.3g} under log-density "
-        f"offsets of +/-40 (tolerance 1e-10)",
+        2, "normalization-invariance", 10.0, started, worst <= INVARIANCE_TOL,
+        f"max relative map deviation {worst:.3g} under log-density offsets "
+        f"of +/-{INVARIANCE_OFFSETS[1]:g} (tolerance {INVARIANCE_TOL:g})",
     )
 
 
@@ -229,7 +240,7 @@ def criterion_4():
     )
 
 
-# ----------------------------------------------------- 5: mode coverage
+# ------------------------------------ 5 and 6: the seeded gate experiment
 
 
 def _experiment(overrides):
@@ -237,18 +248,27 @@ def _experiment(overrides):
     return cfg, run_experiment(cfg)
 
 
-def _coverage_rate(algorithm):
-    overrides = {
+GATE_TRIALS = 20
+
+
+@functools.cache
+def _gate_trials(algorithm, M):
+    """(all-five-modes rate, median final MMD^2) over the trials that did
+    not diverge of the one seeded experiment behind criteria 5 and 6,
+    run once per process. The metric rows only borrow a trial's
+    workspace between steps, so the metrics requested move no bit."""
+    _, results = _experiment({
         "target": {"name": "gmm5-aniso-2d"},
         "algorithm": {"name": algorithm},
-        "particles": {"M": 25},
-        "trials": {"count": 20, "base_seed": 0},
-        "metrics": {"list": ["coverage"], "every_n_iters": 1000},
+        "particles": {"M": M},
+        "trials": {"count": GATE_TRIALS, "base_seed": 0},
+        "metrics": {"list": ["mmd2", "coverage"], "every_n_iters": 1000},
         "output": {"formats": []},
-    }
-    _, results = _experiment(overrides)
-    rates = [r.coverage == 5 for r in results if r.status != "diverged"]
-    return float(np.mean(rates)) if rates else 0.0
+    })
+    kept = [r for r in results if r.status != "diverged"]
+    rate = float(np.mean([r.coverage == 5 for r in kept])) if kept else 0.0
+    finals = [r.report.rows[-1]["mmd2"] for r in kept if r.report.rows]
+    return rate, float(np.median(finals))
 
 
 def criterion_5():
@@ -256,34 +276,15 @@ def criterion_5():
     # the pinned-seed outcome reproduces only under unchanged arithmetic:
     # last-ulp changes anywhere in the dynamics can flip it.
     started = time.perf_counter()
-    msip_rate = _coverage_rate("msip-f")
-    asvgd_rate = _coverage_rate("a-svgd")
+    msip_rate, asvgd_rate = (_gate_trials(a, 25)[0]
+                             for a in ("msip-f", "a-svgd"))
     ok = msip_rate >= 0.90 and asvgd_rate < 0.50
     return _finish(
         5, "mode-coverage", 300.0, started, ok,
-        f"all-five-modes rate over 20 trials: msip-f {msip_rate:.2f} "
-        f"(need >= 0.90), a-svgd {asvgd_rate:.2f} (need < 0.50)",
+        f"all-five-modes rate over {GATE_TRIALS} trials: msip-f "
+        f"{msip_rate:.2f} (need >= 0.90), a-svgd {asvgd_rate:.2f} "
+        f"(need < 0.50)",
     )
-
-
-# ----------------------------------------- 6: mmd2 decay with particle count
-
-
-def _median_final_mmd2(algorithm, M):
-    overrides = {
-        "target": {"name": "gmm5-aniso-2d"},
-        "algorithm": {"name": algorithm},
-        "particles": {"M": M},
-        "trials": {"count": 20, "base_seed": 0},
-        "metrics": {"list": ["mmd2"], "every_n_iters": 1000},
-        "output": {"formats": []},
-    }
-    _, results = _experiment(overrides)
-    finals = [
-        r.report.rows[-1]["mmd2"] for r in results
-        if r.status != "diverged" and r.report.rows
-    ]
-    return float(np.median(finals))
 
 
 def criterion_6():
@@ -291,14 +292,14 @@ def criterion_6():
     # margin that reordered floating-point reductions can flip seed by seed.
     started = time.perf_counter()
     ms = (10, 25, 50, 100)
-    medians = [_median_final_mmd2("msip-f", m) for m in ms]
-    asvgd = _median_final_mmd2("a-svgd", 100)
+    medians = [_gate_trials("msip-f", m)[1] for m in ms]
+    asvgd = _gate_trials("a-svgd", 100)[1]
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
     ok = decreasing and asvgd > medians[-1]
     label = ", ".join(f"M={m}: {v:.4g}" for m, v in zip(ms, medians))
     return _finish(
         6, "mmd-vs-particle-count", 900.0, started, ok,
-        f"median final mmd2 over 20 trials — msip-f {label} "
+        f"median final mmd2 over {GATE_TRIALS} trials — msip-f {label} "
         f"(need strictly decreasing); a-svgd M=100: {asvgd:.4g} "
         f"(need > msip-f M=100)",
     )
@@ -384,7 +385,7 @@ def _imq(x, y, c2, ell2, beta):
 
 def criterion_9():
     started = time.perf_counter()
-    c2, beta, ell = 1.0, -0.5, 0.7
+    c2, beta, ell = IMQ_C2, IMQ_BETA, 0.7
     ell2 = ell * ell
     rng = np.random.default_rng(17)
     h = 1e-5

@@ -129,7 +129,7 @@ def _cmd_run(args):
 
 
 def _cmd_grad_check(args):
-    from .acceptance import gradient_check
+    from .acceptance import GRAD_CHECK_SEED, GRAD_CHECK_TOL, gradient_check
 
     cfg = _load_config(args.config)
     target = make_benchmark(
@@ -148,24 +148,26 @@ def _cmd_grad_check(args):
         M=cfg.particles["M"],
         sigma=params["sigma"],
         lam=params["lam"],
-        seed=2026 if args.seed is None else args.seed,
+        seed=GRAD_CHECK_SEED if args.seed is None else args.seed,
     )
     print(f"max relative gradient error: {worst:.6g}")
-    if worst > 1e-5:
-        print("error: gradient check failed (tolerance 1e-05)",
-              file=sys.stderr)
+    if worst > GRAD_CHECK_TOL:
+        print(f"error: gradient check failed (tolerance "
+              f"{GRAD_CHECK_TOL:g})", file=sys.stderr)
         return 2
     return 0
 
 
 def _cmd_invariance(args):
-    from .acceptance import invariance_suite
+    from .acceptance import (INVARIANCE_OFFSETS, INVARIANCE_TOL,
+                             invariance_suite)
 
     worst = invariance_suite()
-    print(f"max relative map deviation under +/-40 offsets: {worst:.6g}")
-    if worst > 1e-10:
-        print("error: invariance check failed (tolerance 1e-10)",
-              file=sys.stderr)
+    print(f"max relative map deviation under "
+          f"+/-{INVARIANCE_OFFSETS[1]:g} offsets: {worst:.6g}")
+    if worst > INVARIANCE_TOL:
+        print(f"error: invariance check failed (tolerance "
+              f"{INVARIANCE_TOL:g})", file=sys.stderr)
         return 2
     return 0
 

@@ -299,28 +299,23 @@ def _gmm_uniform(dim, seed):
 
 
 def _funnel_logp(X):
-    x1 = X[:, 0]
-    rest = X[:, 1:]
-    d_rest = rest.shape[1]
-    lp = -0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0)
-    if d_rest:
-        lp = lp - 0.5 * (
-            d_rest * (_LOG_2PI + x1)
-            + np.einsum("ij,ij->i", rest, rest) * np.exp(-x1)
-        )
-    return lp
+    x1, rest = X[:, 0], X[:, 1:]
+    return -0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0) - 0.5 * (
+        rest.shape[1] * (_LOG_2PI + x1)
+        + np.einsum("ij,ij->i", rest, rest) * np.exp(-x1))
 
 
 def _funnel_logp_and_score(X):
-    x1 = X[:, 0]
-    rest = X[:, 1:]
+    """_funnel_logp(X) and its gradient, from one sq and exp(-x1)."""
+    x1, rest = X[:, 0], X[:, 1:]
     d_rest = rest.shape[1]
+    sq = np.einsum("ij,ij->i", rest, rest)
+    e = np.exp(-x1)
     out = np.empty_like(X)
-    sq = np.einsum("ij,ij->i", rest, rest) if d_rest else 0.0
-    out[:, 0] = -x1 / 9.0 - 0.5 * (d_rest - sq * np.exp(-x1))
-    if d_rest:
-        out[:, 1:] = -rest * np.exp(-x1)[:, None]
-    return _funnel_logp(X), out
+    out[:, 0] = -x1 / 9.0 - 0.5 * (d_rest - sq * e)
+    out[:, 1:] = -rest * e[:, None]
+    return (-0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0)
+            - 0.5 * (d_rest * (_LOG_2PI + x1) + sq * e)), out
 
 
 def _himmelblau_logp(X):

@@ -16,8 +16,10 @@ the matrix, and --list prints the names:
 
 The matrix: every algorithm on every benchmark at T = 40 with M = 6,
 SVGD and a-SVGD runs that diverge, degenerate weights, a 10-D mixture,
-msip-gf without bounds, and three runs at T = 10 with M > 128, whose
-kernel matrices span several row blocks of 64; 2 trials each.
+msip-gf without bounds, three runs at T = 10 with M > 128, whose
+kernel matrices span several row blocks of 64, and msip-f in the box
+[-12, 12]^2 from the start (18, 18), so that steps are clamped to the
+bounds (no other config reaches its +/-1000 box); 2 trials each.
 """
 
 import argparse
@@ -80,6 +82,9 @@ def matrix():
              130)):
         out.append((name, _doc(target, algorithm, {"T": 10},
                                particles={"M": M})))
+    out.append(("msip-f/gmm5-aniso-2d/box12", _doc(
+        {"name": "gmm5-aniso-2d", "dim": 2}, "msip-f",
+        {"T": 40, "bounds": [-12, 12]})))
     return out
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msip.acceptance import _blank_wall_ms
 from msip.cli import main
-from test_harness import blank_wall_ms
 
 
 @pytest.fixture(autouse=True)
@@ -148,11 +148,11 @@ class TestRun:
     def test_deterministic_outputs(self, tmp_path):
         path = write_cfg(tmp_path, run_doc(tmp_path))
         assert main(["run", path, "--quiet"]) == 0
-        first = blank_wall_ms(
+        first = _blank_wall_ms(
             (tmp_path / "res" / "metrics.csv").read_text(encoding="utf-8")
         )
         assert main(["run", path, "--quiet"]) == 0
-        second = blank_wall_ms(
+        second = _blank_wall_ms(
             (tmp_path / "res" / "metrics.csv").read_text(encoding="utf-8")
         )
         assert first == second

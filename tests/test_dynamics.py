@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msip.targets
 from msip.dynamics import (
@@ -29,7 +31,9 @@ from msip.targets import (
     GmmTarget,
     TargetDensity,
     from_gmm,
+    gmm_v0,
     make_benchmark,
+    normalized,
     reference_samples,
 )
 
@@ -38,6 +42,14 @@ STD_NORMAL = from_gmm(
               covs=np.ones((1, 1, 1))),
     name="std-normal",
 )
+
+
+# the mixtures of the map-gradient identity, by name
+GRADIENT_TARGETS = {
+    "gmm5-aniso-2d": make_benchmark("gmm5-aniso-2d", 2),
+    "gmm": make_benchmark("gmm", 2, seed=0),
+    "gmm-d10": make_benchmark("gmm", 10, seed=0),
+}
 
 
 def params(**kw):
@@ -502,6 +514,26 @@ class TestObjective:
                             - objective(Ym, target, p)) / (2.0 * h)
         assert np.linalg.norm(G - fd) <= 1e-6 * max(np.linalg.norm(G),
                                                     1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(name=st.sampled_from(sorted(GRADIENT_TARGETS)),
+           M=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_map_is_a_preconditioned_gradient_step(self, name, M, seed):
+        # grad F = sigma^-2 W K_lambda W (Y - Psi(Y)), with W = diag(w) the
+        # weights of the unit-mass mixture; jittered target draws, as in
+        # the acceptance gradient check, keep every weight far from 0
+        target = GRADIENT_TARGETS[name]
+        p = params(eta=1.0)
+        Y = reference_samples(target, M, seed) + 0.5 * \
+            np.random.default_rng(seed).standard_normal((M, target.dim))
+        psi = msip_step(Y, target, p)[0]
+        K = gram(Y, p.kernel)
+        w = solve(K, gmm_v0(normalized(target.analytic), Y, p.kernel.sigma))
+        lhs = w[:, None] * (K @ (w[:, None] * (Y - psi))) \
+            / p.kernel.sigma**2
+        G = objective_gradient(Y, target, p)
+        assert np.linalg.norm(lhs - G) <= 1e-10 * np.linalg.norm(G)
 
     def test_gradient_small_at_long_run_limit(self):
         # moderate step size and bandwidth: aggressive settings (eta near

@@ -15,6 +15,7 @@ import pytest
 import msip.harness
 import msip.kernel
 import msip.metrics
+from msip.acceptance import _blank_wall_ms
 from msip.baselines import CbsParams, SvgdParams, run_svgd
 from msip.dynamics import MsipParams, ParticleConfiguration
 from msip.errors import ConfigError, UnsupportedDimensionError
@@ -83,16 +84,6 @@ def make_golden_csv(directory, name="metrics"):
     cfg = parse_config(json.dumps(GOLDEN_CASES[name]))
     results = run_experiment(cfg)
     return emit_csv(results, Path(directory) / f"{name}.csv")
-
-
-def blank_wall_ms(text):
-    lines = text.split("\n")
-    for i in range(1, len(lines)):
-        parts = lines[i].split(",")
-        if len(parts) == 9:
-            parts[5] = ""
-            lines[i] = ",".join(parts)
-    return "\n".join(lines)
 
 
 def parse(doc):
@@ -721,8 +712,8 @@ class TestEmitCsv:
     def test_matches_golden_file(self, tmp_path, name):
         # Byte-for-byte regression (wall-clock column excluded).
         path = make_golden_csv(tmp_path, name)
-        got = blank_wall_ms(path.read_text(encoding="utf-8"))
-        want = blank_wall_ms((GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8"))
+        got = _blank_wall_ms(path.read_text(encoding="utf-8"))
+        want = _blank_wall_ms((GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8"))
         assert got == want
 
 

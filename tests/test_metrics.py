@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msip.dynamics import MsipParams, msip_step, objective
 from msip.errors import NonNormalizableError
-from msip.kernel import KernelSpec, gram, solve, workspace
+from msip.kernel import KernelSpec, gram, se_kernel, solve, workspace
 from msip.metrics import (
     IMQ_BETA,
     IMQ_C2,
@@ -25,6 +28,7 @@ from msip.targets import (
     from_gmm,
     gmm_v0,
     make_benchmark,
+    normalized,
     reference_samples,
 )
 
@@ -115,6 +119,25 @@ class TestMmd2VsGmm:
         w = np.full(50, 0.02)
         t = target.analytic
         assert mmd2_vs_gmm(good, w, t, 0.5) < mmd2_vs_gmm(bad, w, t, 0.5)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(data=st.data(), name=st.sampled_from(["gmm", "gmm5-aniso-2d"]),
+           M=st.integers(1, 8))
+    def test_bounds_the_error_of_every_kernel_integral(self, data, name, M):
+        # For f = k(., z), whose RKHS norm is 1, Cauchy-Schwarz gives
+        # |sum_i w_i f(y_i) - E_pi f| <= MMD(Y, w) (Gretton et al. 2012).
+        # MMD^2 is a difference of O(1) terms, and its square root
+        # magnifies their rounding, hence the absolute slack.
+        t = normalized(make_benchmark(name, 2, seed=0).analytic)
+        coords = st.floats(-10.0, 10.0)
+        Y = data.draw(hnp.arrays(float, (M, 2), elements=coords))
+        w = data.draw(hnp.arrays(float, M, elements=st.floats(-1.0, 1.0)))
+        z = data.draw(hnp.arrays(float, 2, elements=coords))
+        spec = KernelSpec(0.5)
+        gap = sum(wi * se_kernel(y, z, spec) for wi, y in zip(w, Y)) \
+            - gmm_v0(t, z, 0.5)
+        assert abs(gap) <= math.sqrt(mmd2_vs_gmm(Y, w, t, 0.5)) + 1e-7
 
 
 class TestLentWorkspace:

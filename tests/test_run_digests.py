@@ -1,10 +1,17 @@
 """The selection options of tests/run_digests.py: --list and named
-configs. The whole matrix is checked in tests/test_digests.py."""
+configs, and the purpose of the box12 config. The whole matrix is
+checked in tests/test_digests.py."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import msip.harness
+from run_digests import matrix
 
 HERE = Path(__file__).resolve().parent
 SCRIPT = HERE / "run_digests.py"
@@ -37,3 +44,21 @@ def test_unknown_name_is_a_usage_error():
     out = _run("msip-gf/nowhere")
     assert out.returncode == 2
     assert "msip-gf/nowhere" in out.stderr
+
+
+def test_box12_config_clamps_steps_to_its_bounds(monkeypatch):
+    # the one config of the matrix whose runs reach their bounds box: a
+    # clamped step puts a coordinate exactly on a face
+    on_face = []
+
+    def run_msip(t, p, Y0, callbacks=(), work=None):
+        def cb(it, Y, w, diag):
+            on_face.append(bool((np.abs(Y) == 12.0).any()))
+        return run(t, p, Y0, callbacks=[*callbacks, cb], work=work)
+
+    run = msip.harness.run_msip
+    monkeypatch.setattr(msip.harness, "run_msip", run_msip)
+    doc = dict(matrix())["msip-f/gmm5-aniso-2d/box12"]
+    assert doc["algorithm"]["params"]["bounds"] == [-12, 12]
+    msip.harness.run_experiment(msip.harness.parse_config(json.dumps(doc)))
+    assert len(on_face) == 80 and any(on_face)

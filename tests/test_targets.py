@@ -13,6 +13,8 @@ from msip.targets import (
     BENCHMARK_NAMES,
     GmmTarget,
     TargetDensity,
+    _funnel_logp,
+    _funnel_logp_and_score,
     _mixture,
     from_gmm,
     gmm_c_pi,
@@ -443,6 +445,23 @@ class TestBenchmarks:
                                    atol=1e-14)
         with pytest.raises(ValueError, match="dim"):
             make_benchmark("funnel", 1)
+        # the joint evaluation gives _funnel_logp's bytes and those of the
+        # score written out on its own, also where exp(-x1) overflows
+        rng = np.random.default_rng(63)
+        for d in (2, 10):
+            X = np.concatenate([s * rng.standard_normal((50, d))
+                                for s in (0.1, 1.0, 3.0, 30.0)])
+            X[:4, 0] = [-800.0, -710.0, 710.0, 800.0]
+            x1, rest = X[:, 0], X[:, 1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = np.empty_like(X)
+                score[:, 0] = -x1 / 9.0 - 0.5 * (
+                    d - 1 - np.einsum("ij,ij->i", rest, rest) * np.exp(-x1))
+                score[:, 1:] = -rest * np.exp(-x1)[:, None]
+                lp, sc = _funnel_logp_and_score(X)
+                want_lp = _funnel_logp(X)
+            assert lp.tobytes() == want_lp.tobytes()
+            assert sc.tobytes() == score.tobytes()
 
     def test_funnel_score_matches_finite_differences(self):
         target = make_benchmark("funnel", 3)
