@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MsipParams, ParticleConfiguration
+from .dynamics import ParticleConfiguration
 from .errors import ConfigError, MsipError
-from .harness import build_params, parse_config, run_experiment, write_outputs
+from .harness import (ALGORITHMS, check_kind, parse_config, run_experiment,
+                      write_outputs)
 from .svgplot import emit_scatter_svg
 from .targets import make_benchmark
 
@@ -90,15 +91,16 @@ def _load_config(path):
 
 def _apply_seed_overrides(cfg, flag_seed):
     if flag_seed is not None:
-        cfg.trials["base_seed"] = int(flag_seed)
+        cfg.trials["base_seed"] = check_kind(flag_seed, "seed", "--seed")
     env = os.environ.get("MSIP_SEED")
     if env is not None:
         try:
-            cfg.trials["base_seed"] = int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(
                 f"MSIP_SEED must be an integer, got {env!r}"
             ) from exc
+        cfg.trials["base_seed"] = check_kind(seed, "seed", "MSIP_SEED")
     return cfg
 
 
@@ -132,23 +134,22 @@ def _cmd_grad_check(args):
     from .acceptance import GRAD_CHECK_SEED, GRAD_CHECK_TOL, gradient_check
 
     cfg = _load_config(args.config)
-    target = make_benchmark(
-        cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
-    )
+    target = make_benchmark(**cfg.target)
     if target.analytic is None:
         raise ConfigError(
             "grad-check needs a Gaussian-mixture target (analytic "
             "embeddings required)"
         )
-    params = cfg.algorithm["params"]
-    if not isinstance(build_params(cfg, 0), MsipParams):
+    if not ALGORITHMS[cfg.algorithm["name"]].msip:
         raise ConfigError("grad-check needs an msip-* algorithm config")
+    params = cfg.algorithm["params"]
+    seed = GRAD_CHECK_SEED if args.seed is None else args.seed
     worst = gradient_check(
         target,
         M=cfg.particles["M"],
         sigma=params["sigma"],
         lam=params["lam"],
-        seed=GRAD_CHECK_SEED if args.seed is None else args.seed,
+        seed=check_kind(seed, "seed", "--seed"),
     )
     print(f"max relative gradient error: {worst:.6g}")
     if worst > GRAD_CHECK_TOL:
@@ -199,9 +200,7 @@ def _cmd_plot(args):
         raise ConfigError(f"{summary_path}: {exc}") from exc
     if cfg.target["dim"] != 2:
         raise ConfigError("plot requires a 2-D target")
-    target = make_benchmark(
-        cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
-    )
+    target = make_benchmark(**cfg.target)
     outdir = Path(args.out) if args.out is not None else rdir
     outdir.mkdir(parents=True, exist_ok=True)
     for trial, pc in _final_particles(finals_path):
@@ -252,7 +251,7 @@ def _finite_array(entry, key):
 
 
 def _cmd_bench(args):
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
 
     numbers = None
     if args.only:
@@ -263,6 +262,12 @@ def _cmd_bench(args):
                 f"--only expects comma-separated integers, got "
                 f"{args.only!r}"
             ) from exc
+        unknown = [n for n in numbers if not 1 <= n <= len(CRITERIA)]
+        if unknown:
+            raise ConfigError(
+                f"--only: no criterion {', '.join(map(str, unknown))}; the "
+                f"criteria are numbered 1-{len(CRITERIA)}"
+            )
 
     def announce(result):
         flag = "PASS" if result.passed else "FAIL"
@@ -270,8 +275,6 @@ def _cmd_bench(args):
               f"({result.seconds:.1f}s): {result.detail}")
 
     results = run_all(numbers, on_result=None if args.quiet else announce)
-    if not results:
-        raise ConfigError("--only selected no criteria")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 2 if failed else 0

@@ -28,11 +28,12 @@ So the step tests w, Psi and Y_next whole, and searches for the
 failing rows, freezes or raises only when such a test fails.
 
 The penalized objective and its exact gradient are available for targets
-with analytic embeddings (Gaussian mixtures); ``_analytic_system`` forms
-their system.
+with analytic embeddings (Gaussian mixtures); ``_weights`` forms their
+system too, with the analytic estimator on the mixture normalized to unit
+mass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     NonFiniteDensityError,
 )
 from .kernel import KernelSpec
-from .targets import gmm_c_pi, gmm_v0, gmm_v0_and_shift, normalized
+from .targets import from_gmm, gmm_c_pi, normalized
 
 # Only exact underflow is treated as degenerate; tiny representable weights
 # participate normally (their divisions may launch particles far out, which
@@ -243,23 +244,15 @@ def run_msip(t, p, Y0, callbacks=(), work=None):
 # ----------------------------------------------------- objective and gradient
 
 
-def _analytic_system(Y, t, p, shift=False):
-    """(tn, v0, m, G, w) of the analytic objective at Y: the mixture tn
-    normalized to unit mass, its exact v0, the mean-shift points m (None
-    unless shift) from the same mixture pass, the Gram matrix G and the
-    solution w of G w = v0."""
+def _analytic(t, p):
+    """(tn, pa): the mixture of t normalized to unit mass, as a target,
+    and p with the analytic estimator, which reads its exact embeddings."""
     if t.analytic is None:
         raise AnalyticUnavailableError(
             f"the objective needs analytic embeddings; target {t.name!r} "
             "has none"
         )
-    tn = normalized(t.analytic)
-    if shift:
-        v0, m = gmm_v0_and_shift(tn, Y, p.kernel.sigma)
-    else:
-        v0, m = gmm_v0(tn, Y, p.kernel.sigma), None
-    G = kern.gram(Y, p.kernel)
-    return tn, v0, m, G, kern.solve(G, v0)
+    return from_gmm(normalized(t.analytic)), replace(p, estimator="analytic")
 
 
 def objective(Y, t, p):
@@ -268,15 +261,17 @@ def objective(Y, t, p):
     Needs analytic embeddings; the mixture is normalized to unit mass
     internally so values are comparable with the evaluation metrics.
     """
-    Y = np.asarray(Y, dtype=float)
-    tn, v0, _, _, w = _analytic_system(Y, t, p)
-    return 0.5 * (gmm_c_pi(tn, p.kernel.sigma) - float(w @ v0))
+    tn, pa = _analytic(t, p)
+    w, _, est = _weights(np.asarray(Y, dtype=float), tn, pa, 0)
+    return 0.5 * (gmm_c_pi(tn.analytic, p.kernel.sigma)
+                  - float(w @ est.v0_hat))
 
 
 def objective_gradient(Y, t, p):
     """Exact gradient sigma^{-2} W (K_lambda W Y - v1) with analytic v0, v1."""
     Y = np.asarray(Y, dtype=float)
-    _, v0, m, G, w = _analytic_system(Y, t, p, shift=True)
-    v1 = v0[:, None] * m
-    WY = w[:, None] * Y
-    return (w[:, None] * (G @ WY - v1)) / p.kernel.sigma**2
+    work = kern.workspace(len(Y))
+    w, _, est = _weights(Y, *_analytic(t, p), 0, work)
+    G = work[0]  # the Gram matrix the weights were solved with
+    return (w[:, None] * (G @ (w[:, None] * Y) - est.v1_hat)) \
+        / p.kernel.sigma**2

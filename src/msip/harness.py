@@ -2,16 +2,18 @@
 
 A run config is a JSON document with six sections (target, algorithm,
 particles, metrics, trials, output); parse_config validates it strictly
-(unknown keys are rejected with a path-qualified message) and fills
-defaults from the per-fixture hyperparameter table. run_experiment
-executes the trials deterministically (trial t uses seed base_seed + t)
-and the emit_* helpers write CSV, JSON summary and SVG scatter outputs.
+(unknown keys are rejected with a path-qualified message) against the
+kind of each key (_KINDS) and fills defaults from the per-fixture table
+and each algorithm's row of ALGORITHMS. run_experiment executes the
+trials deterministically (trial t uses seed base_seed + t) and the emit_*
+helpers write CSV, JSON summary and SVG scatter outputs.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -38,37 +40,95 @@ CSV_HEADER = (
     "score_evals,status"
 )
 
-ALGORITHM_NAMES = (
-    "msip-f", "msip-gi", "msip-gf", "msip-hybrid", "svgd", "a-svgd", "cbs",
-)
-_MSIP_ESTIMATOR = {
-    "msip-f": "fredholm",
-    "msip-gi": "stein",
-    "msip-gf": "gf",
-    "msip-hybrid": "hybrid",
-}
 METRIC_NAMES = ("mmd2", "ksd", "loglik", "coverage")
 _FORMATS = ("csv", "json", "svg")
+_SECTIONS = ("target", "algorithm", "particles", "metrics", "trials", "output")
 
-_BOUNDS = [-1000.0, 1000.0]
+# The kind of each key of each section, in the order the keys are checked
+# (check_kind); a key of kind None is checked where parse_config reads it.
+# algorithm.params lists the keys of every algorithm family.
+_KINDS = {
+    "target": {"name": None, "dim": "count", "seed": "seed"},
+    "algorithm": {"name": None, "params": None},
+    "algorithm.params": {
+        "T": "count", "Q": "count", "eta": "number", "sigma": "number",
+        "lam": "number", "gamma": "number", "beta": "number",
+        "noise_scale": "number", "bandwidth": None, "bounds": None,
+    },
+    "particles": {
+        "M": "count", "init_mean": None, "init_cov_scale": "positive",
+    },
+    "metrics": {
+        "list": None, "every_n_iters": "count",
+        "reference_sample_size": "count", "mmd_bandwidth": "positive",
+        "ksd_bandwidth": "positive", "coverage_radius": None,
+    },
+    "trials": {"count": "count", "base_seed": "seed"},
+    "output": {"directory": None, "formats": None},
+}
+
+# Per-fixture defaults: step size, bandwidths, trial count and initial
+# mean. gmm5-aniso-2d is always started far from its support, at (18, 18),
+# and the funnel's step size is 0.05 above two dimensions.
+_FIXTURES = {
+    "gmm": dict(eta=0.5, sigma=0.5, ksd_bw=0.5, trials=10, init_mean=0.0),
+    "gmm5-aniso-2d": dict(eta=0.5, sigma=0.5, ksd_bw=0.5, trials=20,
+                          init_mean=18.0),
+    "funnel": dict(eta=0.5, sigma=0.1, ksd_bw=0.1, trials=10, init_mean=0.0),
+    "himmelblau": dict(eta=0.1, sigma=0.05, ksd_bw=0.1, trials=10,
+                       init_mean=0.0),
+}
 
 
-def _fixture_row(name, dim):
-    """Per-fixture default hyperparameters (step size, bandwidths, budget)."""
-    if name == "gmm":
-        return dict(eta=0.5, sigma=0.5, ksd_bw=0.5, T=1000, trials=10,
-                    init_mean=0.0)
-    if name == "gmm5-aniso-2d":
-        # the five-mode anisotropic benchmark is always started far from
-        # the support, at (18, 18)
-        return dict(eta=0.5, sigma=0.5, ksd_bw=0.5, T=1000, trials=20,
-                    init_mean=18.0)
-    if name == "funnel":
-        return dict(eta=0.5 if dim == 2 else 0.05, sigma=0.1, ksd_bw=0.1,
-                    T=1000, trials=10, init_mean=0.0)
-    # himmelblau: parse_config has rejected unknown names before this call
-    return dict(eta=0.1, sigma=0.05, ksd_bw=0.1, T=1000, trials=10,
-                init_mean=0.0)
+@dataclass(frozen=True)
+class Algorithm:
+    """An algorithm's row of ALGORITHMS: its default params from the
+    fixture row (their keys are the ones it accepts), its parameter object
+    from the params and a trial's seed, and the name of its runner in this
+    module, looked up when a trial runs (so a patched
+    ``msip.harness.run_svgd`` runs). An MSIP runner takes a workspace."""
+
+    defaults: Callable
+    params: Callable
+    runner: str
+    msip: bool = False
+
+
+def _msip_params(estimator, sigma, lam, bounds, **rest):
+    return MsipParams(kernel=KernelSpec(sigma=sigma, lam=lam),
+                      estimator=estimator,
+                      bounds=None if bounds is None else tuple(bounds),
+                      **rest)
+
+
+def _msip(estimator):
+    return Algorithm(
+        lambda row: {"eta": row["eta"], "sigma": row["sigma"], "lam": 1e-6,
+                     "T": 1000, "Q": 10, "gamma": 0.5,
+                     "bounds": [-1000.0, 1000.0]},
+        partial(_msip_params, estimator), "run_msip", msip=True)
+
+
+def _svgd(bandwidth):
+    return Algorithm(
+        lambda row: {"eta": row["eta"], "T": 1000,
+                     "bandwidth": bandwidth(row)},
+        SvgdParams, "run_svgd")
+
+
+ALGORITHMS = {
+    "msip-f": _msip("fredholm"),
+    "msip-gi": _msip("stein"),
+    "msip-gf": _msip("gf"),
+    "msip-hybrid": _msip("hybrid"),
+    "svgd": _svgd(lambda row: row["sigma"] ** 2),
+    "a-svgd": _svgd(lambda row: "median"),
+    "cbs": Algorithm(
+        lambda row: {"beta": 0.9, "eta": row["eta"], "T": 1000,
+                     "noise_scale": 1.0},
+        CbsParams, "run_cbs"),
+}
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 @dataclass
@@ -83,14 +143,7 @@ class RunConfig:
     output: dict
 
     def as_dict(self):
-        return {
-            "target": self.target,
-            "algorithm": self.algorithm,
-            "particles": self.particles,
-            "metrics": self.metrics,
-            "trials": self.trials,
-            "output": self.output,
-        }
+        return {name: getattr(self, name) for name in _SECTIONS}
 
 
 @dataclass
@@ -105,35 +158,24 @@ class TrialResult:
     coverage: int | None = None
 
 
-def _reject_unknown(section, allowed, path):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}: unknown key")
-
-
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
 
 
-def _section(data, key):
-    """A copy of the config section data[key], which must be an object;
-    an absent optional section is empty."""
-    value = data.get(key, {})
-    _require(isinstance(value, dict),
-             f"{key}: expected an object, got {value!r}")
-    return dict(value)
+def check_kind(value, kind, path):
+    """value if it is of the kind, a ConfigError naming path otherwise.
 
-
-def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, path):
+    "count" is an integer >= 1 and "seed" an integer >= 0; "number" is a
+    finite number and "positive" a positive one, both returned as floats.
+    """
+    if kind in ("count", "seed"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        minimum = 1 if kind == "count" else 0
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
@@ -142,40 +184,41 @@ def _as_number(value, path):
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if kind == "positive" and not number > 0:
+        raise ConfigError(f"{path}: must be positive")
     return number
 
 
-def _algorithm_defaults(name, row):
-    if name in _MSIP_ESTIMATOR:
-        return {
-            "eta": row["eta"],
-            "sigma": row["sigma"],
-            "lam": 1e-6,
-            "T": row["T"],
-            "Q": 10,
-            "gamma": 0.5,
-            "bounds": list(_BOUNDS),
-        }
-    if name in ("svgd", "a-svgd"):
-        return {
-            "eta": row["eta"],
-            "T": row["T"],
-            "bandwidth": "median" if name == "a-svgd" else row["sigma"] ** 2,
-        }
-    return {
-        "beta": 0.9,
-        "eta": row["eta"],
-        "T": row["T"],
-        "noise_scale": 1.0,
-    }
+def _read(section, path, defaults, keys=None):
+    """The section, an object, over its defaults, each value checked
+    against its kind in _KINDS[path]. Its keys must be among keys, by
+    default those of _KINDS[path]; one of them without a default is
+    required."""
+    _require(isinstance(section, dict),
+             f"{path}: expected an object, got {section!r}")
+    kinds = _KINDS[path]
+    keys = kinds if keys is None else keys
+    for key in section:
+        _require(key in keys, f"{path}.{key}: unknown key")
+    out = {**defaults, **section}
+    for key, kind in kinds.items():
+        if key in keys:  # not a key of another algorithm family
+            _require(key in out, f"{path}.{key}: key is required")
+            if kind is not None:
+                out[key] = check_kind(out[key], kind, f"{path}.{key}")
+    return out
 
 
-def _validate_params(cfg):
-    """Construct the parameter object once so invariants are checked."""
-    try:
-        build_params(cfg, seed=0)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"algorithm.params: {exc}") from exc
+def _known(value, names, path, noun, expected="one of"):
+    _require(value in names,
+             f"{path}: unknown {noun} {value!r}; expected {expected} {names}")
+    return value
+
+
+def _subset(values, names, path, noun):
+    """values, a list of some of the names, as a new list."""
+    _require(isinstance(values, list), f"{path}: expected a list")
+    return [_known(v, names, path, noun, "a subset of") for v in values]
 
 
 def parse_config(text):
@@ -187,187 +230,97 @@ def parse_config(text):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "config: expected a JSON object")
-    _reject_unknown(
-        data,
-        ("target", "algorithm", "particles", "metrics", "trials", "output"),
-        "",
-    )
+    for key in data:
+        _require(key in _SECTIONS, f"{key}: unknown key")
     _require("target" in data, "target: section is required")
     _require("algorithm" in data, "algorithm: section is required")
 
-    # target ------------------------------------------------------------
-    tsec = _section(data, "target")
-    _reject_unknown(tsec, ("name", "dim", "seed"), "target.")
-    _require("name" in tsec, "target.name: key is required")
-    name = tsec["name"]
-    _require(
-        name in BENCHMARK_NAMES,
-        f"target.name: unknown benchmark {name!r}; expected one of "
-        f"{BENCHMARK_NAMES}",
-    )
-    dim = _as_int(tsec.get("dim", 2), "target.dim", minimum=1)
-    tseed = _as_int(tsec.get("seed", 0), "target.seed")
+    tsec = _read(data.get("target", {}), "target", {"dim": 2, "seed": 0})
+    name = _known(tsec["name"], BENCHMARK_NAMES, "target.name", "benchmark")
+    dim = tsec["dim"]
     try:
-        target = make_benchmark(name, dim, tseed)
+        target = make_benchmark(**tsec)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
-    row = _fixture_row(name, dim)
-    target_sec = {"name": name, "dim": dim, "seed": tseed}
+    row = _FIXTURES[name]
+    if name == "funnel" and dim != 2:
+        row = {**row, "eta": 0.05}
 
-    # algorithm ----------------------------------------------------------
-    asec = _section(data, "algorithm")
-    _reject_unknown(asec, ("name", "params"), "algorithm.")
-    _require("name" in asec, "algorithm.name: key is required")
-    aname = asec["name"]
-    _require(
-        aname in ALGORITHM_NAMES,
-        f"algorithm.name: unknown algorithm {aname!r}; expected one of "
-        f"{ALGORITHM_NAMES}",
-    )
-    params = _algorithm_defaults(aname, row)
-    overrides = asec.get("params", {})
-    _require(
-        isinstance(overrides, dict),
-        "algorithm.params: expected an object",
-    )
-    _reject_unknown(overrides, tuple(params), "algorithm.params.")
-    params.update(overrides)
-    for key in ("T", "Q"):
-        if key in params:
-            _as_int(params[key], f"algorithm.params.{key}", minimum=1)
-    for key in ("eta", "sigma", "lam", "gamma", "beta", "noise_scale"):
-        if key in params:
-            params[key] = _as_number(params[key], f"algorithm.params.{key}")
+    asec = _read(data.get("algorithm", {}), "algorithm", {"params": {}})
+    aname = _known(asec["name"], ALGORITHM_NAMES, "algorithm.name",
+                   "algorithm")
+    _require(isinstance(asec["params"], dict),
+             "algorithm.params: expected an object")
+    defaults = ALGORITHMS[aname].defaults(row)
+    params = _read(asec["params"], "algorithm.params", defaults, defaults)
     if params.get("bandwidth", "median") != "median":
-        params["bandwidth"] = _as_number(params["bandwidth"],
+        params["bandwidth"] = check_kind(params["bandwidth"], "number",
                                          "algorithm.params.bandwidth")
-    if params.get("bounds") is not None and aname in _MSIP_ESTIMATOR:
+    if params.get("bounds") is not None:
         b = params["bounds"]
-        _require(
-            isinstance(b, (list, tuple)) and len(b) == 2,
-            "algorithm.params.bounds: expected [lo, hi] or null",
-        )
-        params["bounds"] = [_as_number(b[0], "algorithm.params.bounds"),
-                            _as_number(b[1], "algorithm.params.bounds")]
-    algorithm_sec = {"name": aname, "params": params}
+        _require(isinstance(b, list) and len(b) == 2,
+                 "algorithm.params.bounds: expected [lo, hi] or null")
+        params["bounds"] = [check_kind(v, "number", "algorithm.params.bounds")
+                            for v in b]
+    asec["params"] = params
 
-    # particles ----------------------------------------------------------
-    psec = _section(data, "particles")
-    _reject_unknown(psec, ("M", "init_mean", "init_cov_scale"), "particles.")
-    M = _as_int(psec.get("M", 25), "particles.M", minimum=1)
-    init_mean = psec.get("init_mean", row["init_mean"])
-    if isinstance(init_mean, list):
-        _require(
-            len(init_mean) == dim,
-            f"particles.init_mean: expected a number or a list of length "
-            f"{dim}",
-        )
-        init_mean = [_as_number(v, "particles.init_mean") for v in init_mean]
+    psec = _read(data.get("particles", {}), "particles", {
+        "M": 25, "init_mean": row["init_mean"], "init_cov_scale": 1.0,
+    })
+    mean = psec["init_mean"]
+    if isinstance(mean, list):
+        _require(len(mean) == dim, f"particles.init_mean: expected a number "
+                                   f"or a list of length {dim}")
     else:
-        init_mean = [_as_number(init_mean, "particles.init_mean")] * dim
-    init_cov_scale = _as_number(
-        psec.get("init_cov_scale", 1.0), "particles.init_cov_scale"
-    )
-    _require(init_cov_scale > 0, "particles.init_cov_scale: must be positive")
-    particles_sec = {
-        "M": M, "init_mean": init_mean, "init_cov_scale": init_cov_scale,
-    }
+        mean = [mean] * dim
+    psec["init_mean"] = [check_kind(v, "number", "particles.init_mean")
+                         for v in mean]
 
-    # metrics -------------------------------------------------------------
-    msec = _section(data, "metrics")
-    _reject_unknown(
-        msec,
-        ("list", "every_n_iters", "reference_sample_size",
-         "mmd_bandwidth", "ksd_bandwidth", "coverage_radius"),
-        "metrics.",
-    )
-    default_list = ["mmd2", "ksd", "loglik"]
-    if target.analytic is not None:
-        default_list.append("coverage")
-    mlist = msec.get("list", default_list)
-    _require(isinstance(mlist, list), "metrics.list: expected a list")
-    for m in mlist:
-        _require(
-            m in METRIC_NAMES,
-            f"metrics.list: unknown metric {m!r}; expected a subset of "
-            f"{METRIC_NAMES}",
-        )
-    if "coverage" in mlist and target.analytic is None:
-        raise ConfigError(
-            "metrics.list: coverage requires a Gaussian-mixture target "
-            "with known modes"
-        )
-    every = _as_int(msec.get("every_n_iters", 100), "metrics.every_n_iters",
-                    minimum=1)
-    ref_n = _as_int(
-        msec.get("reference_sample_size", 10000),
-        "metrics.reference_sample_size", minimum=1,
-    )
-    mmd_bw = _as_number(
-        msec.get("mmd_bandwidth", row["sigma"]), "metrics.mmd_bandwidth"
-    )
-    _require(mmd_bw > 0, "metrics.mmd_bandwidth: must be positive")
-    ksd_bw = _as_number(
-        msec.get("ksd_bandwidth", row["ksd_bw"]), "metrics.ksd_bandwidth"
-    )
-    _require(ksd_bw > 0, "metrics.ksd_bandwidth: must be positive")
-    cov_radius = msec.get("coverage_radius")
-    if cov_radius is None and target.analytic is not None:
-        stds = [
+    analytic = target.analytic
+    msec = _read(data.get("metrics", {}), "metrics", {
+        "list": ["mmd2", "ksd", "loglik"]
+        + (["coverage"] if analytic is not None else []),
+        "every_n_iters": 100,
+        "reference_sample_size": 10000,
+        "mmd_bandwidth": row["sigma"],
+        "ksd_bandwidth": row["ksd_bw"],
+        "coverage_radius": None,
+    })
+    msec["list"] = _subset(msec["list"], METRIC_NAMES, "metrics.list",
+                           "metric")
+    _require(analytic is not None or "coverage" not in msec["list"],
+             "metrics.list: coverage requires a Gaussian-mixture target "
+             "with known modes")
+    if msec["coverage_radius"] is None and analytic is not None:
+        # an explicit null is the default too: twice the widest mode's
+        # largest standard deviation
+        msec["coverage_radius"] = 2.0 * max(
             math.sqrt(max(np.linalg.eigvalsh(C).max(), 0.0))
-            for C in target.analytic.covs
-        ]
-        cov_radius = 2.0 * max(stds)
-    if cov_radius is not None:
-        cov_radius = _as_number(cov_radius, "metrics.coverage_radius")
-        _require(cov_radius > 0, "metrics.coverage_radius: must be positive")
-    metrics_sec = {
-        "list": list(mlist),
-        "every_n_iters": every,
-        "reference_sample_size": ref_n,
-        "mmd_bandwidth": mmd_bw,
-        "ksd_bandwidth": ksd_bw,
-        "coverage_radius": cov_radius,
-    }
-
-    # trials ----------------------------------------------------------------
-    trsec = _section(data, "trials")
-    _reject_unknown(trsec, ("count", "base_seed"), "trials.")
-    count = _as_int(trsec.get("count", row["trials"]), "trials.count",
-                    minimum=1)
-    base_seed = _as_int(trsec.get("base_seed", 0), "trials.base_seed")
-    trials_sec = {"count": count, "base_seed": base_seed}
-
-    # output ------------------------------------------------------------
-    osec = _section(data, "output")
-    _reject_unknown(osec, ("directory", "formats"), "output.")
-    directory = osec.get("directory", "results")
-    _require(isinstance(directory, str) and directory,
-             "output.directory: expected a nonempty string")
-    formats = osec.get(
-        "formats",
-        ["csv", "json", "svg"] if dim == 2 else ["csv", "json"],
-    )
-    _require(isinstance(formats, list), "output.formats: expected a list")
-    for f in formats:
-        _require(
-            f in _FORMATS,
-            f"output.formats: unknown format {f!r}; expected a subset of "
-            f"{_FORMATS}",
+            for C in analytic.covs
         )
-    if "svg" in formats and dim != 2:
-        raise ConfigError("output.formats: svg requires a 2-D target")
-    output_sec = {"directory": directory, "formats": list(formats)}
+    if msec["coverage_radius"] is not None:
+        msec["coverage_radius"] = check_kind(
+            msec["coverage_radius"], "positive", "metrics.coverage_radius")
 
-    cfg = RunConfig(
-        target=target_sec,
-        algorithm=algorithm_sec,
-        particles=particles_sec,
-        metrics=metrics_sec,
-        trials=trials_sec,
-        output=output_sec,
-    )
-    _validate_params(cfg)
+    trsec = _read(data.get("trials", {}), "trials",
+                  {"count": row["trials"], "base_seed": 0})
+
+    osec = _read(data.get("output", {}), "output", {
+        "directory": "results",
+        "formats": ["csv", "json", "svg"] if dim == 2 else ["csv", "json"],
+    })
+    _require(isinstance(osec["directory"], str) and osec["directory"],
+             "output.directory: expected a nonempty string")
+    osec["formats"] = _subset(osec["formats"], _FORMATS, "output.formats",
+                              "format")
+    _require(dim == 2 or "svg" not in osec["formats"],
+             "output.formats: svg requires a 2-D target")
+
+    cfg = RunConfig(tsec, asec, psec, msec, trsec, osec)
+    try:  # the parameter object checks the ranges of the params
+        build_params(cfg, seed=0)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"algorithm.params: {exc}") from exc
     return cfg
 
 
@@ -378,25 +331,8 @@ def serialize_config(cfg):
 
 def build_params(cfg, seed):
     """The per-trial parameter object for the configured algorithm."""
-    name = cfg.algorithm["name"]
-    a = cfg.algorithm["params"]
-    if name in _MSIP_ESTIMATOR:
-        bounds = a.get("bounds")
-        return MsipParams(
-            kernel=KernelSpec(sigma=a["sigma"], lam=a["lam"]),
-            eta=a["eta"],
-            T=a["T"],
-            estimator=_MSIP_ESTIMATOR[name],
-            Q=a["Q"],
-            gamma=a["gamma"],
-            bounds=tuple(bounds) if bounds is not None else None,
-            seed=seed,
-        )
-    if name in ("svgd", "a-svgd"):
-        return SvgdParams(eta=a["eta"], T=a["T"], bandwidth=a["bandwidth"],
-                          seed=seed)
-    return CbsParams(beta=a["beta"], eta=a["eta"], T=a["T"],
-                     noise_scale=a["noise_scale"], seed=seed)
+    return ALGORITHMS[cfg.algorithm["name"]].params(
+        **cfg.algorithm["params"], seed=seed)
 
 
 # ------------------------------------------------------------------ execution
@@ -479,10 +415,10 @@ def _run_trial(cfg, target, trial, ref_mmd):
         + math.sqrt(cfg.particles["init_cov_scale"]) \
         * rng.standard_normal((M, d))
     params = build_params(cfg, seed)
-    name = cfg.algorithm["name"]
+    algorithm = ALGORITHMS[cfg.algorithm["name"]]
     # one Gram workspace per MSIP trial: every step's system and the
     # metric rows between steps
-    work = workspace(M) if name in _MSIP_ESTIMATOR else None
+    work = workspace(M) if algorithm.msip else None
     rec = _TrialRecorder(cfg, target, cfg.metrics["ksd_bandwidth"], ref_mmd,
                          t0=time.perf_counter(), work=work)
     uniform = np.full(M, 1.0 / M)
@@ -496,12 +432,9 @@ def _run_trial(cfg, target, trial, ref_mmd):
         if diag["frozen"]:
             rec.status = "degenerate-weights-occurred"
 
-    if name in _MSIP_ESTIMATOR:
-        run = partial(run_msip, work=work)
-    elif name in ("svgd", "a-svgd"):
-        run = run_svgd
-    else:
-        run = run_cbs
+    run = globals()[algorithm.runner]
+    if work is not None:
+        run = partial(run, work=work)
     try:
         final, after = run(target, params, Y0, callbacks=[cb])
     except DivergedRunError:
@@ -540,9 +473,7 @@ def run_experiment(cfg, on_trial=None):
     are independent, so they could run concurrently; sequential execution
     keeps the implementation simple and the outputs identical.
     """
-    target = make_benchmark(
-        cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
-    )
+    target = make_benchmark(**cfg.target)
     ref_mmd = None
     if "mmd2" in cfg.metrics["list"] and target.analytic is None:
         X = reference_samples(
@@ -632,9 +563,7 @@ def summarize(cfg, results):
     if "coverage" in cfg.metrics["list"]:
         covered = [r.coverage for r in survived if r.coverage is not None]
         if covered:
-            target = make_benchmark(
-                cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
-            )
+            target = make_benchmark(**cfg.target)
             k = int(target.analytic.k)
             stats = _stats(covered)
             stats["n_modes"] = k
@@ -706,9 +635,7 @@ def write_outputs(cfg, results, out_dir=None):
         paths["final_particles"] = _dump_json(
             payload, outdir / "final_particles.json")
     if "svg" in formats and cfg.target["dim"] == 2:
-        target = make_benchmark(
-            cfg.target["name"], cfg.target["dim"], cfg.target["seed"]
-        )
+        target = make_benchmark(**cfg.target)
         for r in results:
             spath = outdir / f"trial{r.trial:03d}.svg"
             try:

@@ -181,6 +181,21 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "MSIP_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,env,key", [
+        (["run", "CFG", "--seed", "-1", "--quiet"], None, "--seed"),
+        (["run", "CFG", "--quiet"], "-5", "MSIP_SEED"),
+        (["grad-check", "CFG", "--seed", "-1"], None, "--seed"),
+    ], ids=["run-flag", "env", "grad-check-flag"])
+    def test_negative_seeds_are_config_errors(self, tmp_path, monkeypatch,
+                                              capsys, argv, env, key):
+        if env is not None:
+            monkeypatch.setenv("MSIP_SEED", env)
+        path = write_cfg(tmp_path, run_doc(tmp_path))
+        assert main([path if a == "CFG" else a for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {key}: must be >= 0, got -")
+        assert not (tmp_path / "res").exists()
+
     def test_out_flag_overrides_directory(self, tmp_path):
         path = write_cfg(tmp_path, run_doc(tmp_path))
         other = tmp_path / "elsewhere"
@@ -335,4 +350,14 @@ class TestBench:
 
     def test_only_matching_nothing(self, capsys):
         assert main(["bench", "--only", "99"]) == 1
-        assert "selected no criteria" in capsys.readouterr().err
+        assert "no criterion 99;" in capsys.readouterr().err
+
+    def test_unknown_criteria_are_rejected_before_any_runs(self, monkeypatch,
+                                                           capsys):
+        import msip.acceptance
+
+        monkeypatch.setattr(msip.acceptance, "run_all", None)
+        assert main(["bench", "--only", "4,11,0"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --only: no criterion 11, 0; the criteria "
+                       "are numbered 1-10\n")
