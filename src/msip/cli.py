@@ -21,7 +21,7 @@ from .dynamics import ParticleConfiguration
 from .errors import ConfigError, MsipError
 from .harness import (ALGORITHMS, check_kind, parse_config, run_experiment,
                       write_outputs)
-from .svgplot import emit_scatter_svg
+from .svgplot import emit_trial_svgs
 from .targets import make_benchmark
 
 
@@ -175,10 +175,10 @@ def _cmd_invariance(args):
 
 def _read_json(path):
     """The JSON document in the file at path; ConfigError naming the file
-    if it is not valid UTF-8 JSON."""
+    if it is not valid UTF-8 JSON or holds an integer too long to read."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or a too-long integer
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -203,10 +203,11 @@ def _cmd_plot(args):
     target = make_benchmark(**cfg.target)
     outdir = Path(args.out) if args.out is not None else rdir
     outdir.mkdir(parents=True, exist_ok=True)
-    for trial, pc in _final_particles(finals_path):
-        path = outdir / f"trial{trial:03d}.svg"
-        emit_scatter_svg(pc, target, path)
-        if not args.quiet:
+    for trial, path, skip in emit_trial_svgs(_final_particles(finals_path),
+                                             target, outdir):
+        if skip is not None:
+            print(f"skipped trial {trial}: {skip}", file=sys.stderr)
+        elif not args.quiet:
             print(f"wrote {path}")
     return 0
 
@@ -254,7 +255,7 @@ def _cmd_bench(args):
     from .acceptance import CRITERIA, run_all
 
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(tok) for tok in args.only.split(",") if tok]
         except ValueError as exc:
@@ -262,6 +263,9 @@ def _cmd_bench(args):
                 f"--only expects comma-separated integers, got "
                 f"{args.only!r}"
             ) from exc
+        if not numbers:
+            raise ConfigError(f"--only: no criterion number in "
+                              f"{args.only!r}")
         unknown = [n for n in numbers if not 1 <= n <= len(CRITERIA)]
         if unknown:
             raise ConfigError(

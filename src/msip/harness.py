@@ -32,7 +32,8 @@ from .metrics import (
     weighted_loglik,
     mode_coverage,
 )
-from .svgplot import emit_scatter_svg  # re-exported: part of this surface
+# emit_scatter_svg is re-exported: part of this surface
+from .svgplot import emit_scatter_svg, emit_trial_svgs
 from .targets import BENCHMARK_NAMES, make_benchmark, reference_samples
 
 CSV_HEADER = (
@@ -227,7 +228,7 @@ def parse_config(text):
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         data = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or a too-long integer
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "config: expected a JSON object")
     for key in data:
@@ -635,12 +636,9 @@ def write_outputs(cfg, results, out_dir=None):
         paths["final_particles"] = _dump_json(
             payload, outdir / "final_particles.json")
     if "svg" in formats and cfg.target["dim"] == 2:
-        target = make_benchmark(**cfg.target)
-        for r in results:
-            spath = outdir / f"trial{r.trial:03d}.svg"
-            try:
-                emit_scatter_svg(r.final, target, spath)
-            except NonNormalizableError:
-                continue
-            paths[f"svg:{r.trial}"] = spath
+        finals = [(r.trial, r.final) for r in results]
+        for trial, spath, _ in emit_trial_svgs(
+                finals, make_benchmark(**cfg.target), outdir):
+            if spath is not None:
+                paths[f"svg:{trial}"] = spath
     return paths

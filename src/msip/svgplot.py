@@ -10,13 +10,15 @@ seeded run reproduces the file byte for byte.
 import base64
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import NonNormalizableError, UnsupportedDimensionError
 from .metrics import normalize_weights
 
 GRID = 200
+_BLOCK_ROWS = 25  # grid rows per target call; divides GRID
 
 _PLOT = {"x0": 50.0, "y0": 20.0, "size": 460.0}
 _WIDTH = 640
@@ -66,12 +68,22 @@ def _png_gray(img):
 
 
 def _density_png(t, lo, hi):
-    """Rasterize exp(log-density) over [lo_x, hi_x] x [lo_y, hi_y]."""
+    """Rasterize exp(log-density) over [lo_x, hi_x] x [lo_y, hi_y].
+
+    Row r of the grid is y = ys[r]. The target is evaluated _BLOCK_ROWS
+    rows at a time through one reused point buffer, so its temporaries
+    are those of one block, not of the whole grid.
+    """
     xs = np.linspace(lo[0], hi[0], GRID)
     ys = np.linspace(lo[1], hi[1], GRID)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    logp = t.log_density(pts).reshape(GRID, GRID)
+    logp = np.empty((GRID, GRID))
+    pts = np.empty((_BLOCK_ROWS, GRID, 2))
+    pts[:, :, 0] = xs
+    flat = pts.reshape(-1, 2)
+    for r in range(0, GRID, _BLOCK_ROWS):
+        pts[:, :, 1] = ys[r:r + _BLOCK_ROWS, None]
+        logp[r:r + _BLOCK_ROWS] = t.log_density(flat).reshape(
+            _BLOCK_ROWS, GRID)
     finite = np.isfinite(logp)
     if finite.any():
         dens = np.exp(logp - logp[finite].max())
@@ -161,3 +173,19 @@ def emit_scatter_svg(pc, t, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
     return path
+
+
+def emit_trial_svgs(finals, t, outdir):
+    """Plot each (trial, configuration) of finals to outdir/trialNNN.svg.
+
+    Yields (trial, path, None) for a written plot and (trial, None, error)
+    for a trial whose weights cannot be normalized, which gets no plot.
+    """
+    for trial, pc in finals:
+        path = Path(outdir) / f"trial{trial:03d}.svg"
+        try:
+            emit_scatter_svg(pc, t, path)
+        except NonNormalizableError as exc:
+            yield trial, None, exc
+        else:
+            yield trial, path, None

@@ -263,16 +263,22 @@ class TargetDensity:
         return replace(self, log_scale_offset=log_scale_offset)
 
 
-def from_gmm(t, name="gmm"):
-    """Wrap a GmmTarget as a TargetDensity with analytic embeddings."""
+def _from_joint(f, dim, name, analytic=None):
+    """TargetDensity of f(X, score=False) -> (logp, score or None)."""
     return TargetDensity(
-        dim=t.dim,
-        base_log_density=lambda X: _mixture(t, X, t._factors)[0],
-        base_log_density_and_score=lambda X: _mixture(t, X, t._factors,
-                                                      score=True),
-        analytic=t,
+        dim=dim,
+        base_log_density=lambda X: f(X)[0],
+        base_log_density_and_score=lambda X: f(X, score=True),
+        analytic=analytic,
         name=name,
     )
+
+
+def from_gmm(t, name="gmm"):
+    """Wrap a GmmTarget as a TargetDensity with analytic embeddings."""
+    return _from_joint(
+        lambda X, score=False: _mixture(t, X, t._factors, score=score),
+        t.dim, name, analytic=t)
 
 
 # ------------------------------------------------------------------- fixtures
@@ -298,39 +304,34 @@ def _gmm_uniform(dim, seed):
     return GmmTarget(weights=np.full(5, 0.2), means=means, covs=covs)
 
 
-def _funnel_logp(X):
-    x1, rest = X[:, 0], X[:, 1:]
-    return -0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0) - 0.5 * (
-        rest.shape[1] * (_LOG_2PI + x1)
-        + np.einsum("ij,ij->i", rest, rest) * np.exp(-x1))
-
-
-def _funnel_logp_and_score(X):
-    """_funnel_logp(X) and its gradient, from one sq and exp(-x1)."""
+def _funnel(X, score=False):
+    """(log-density, score or None) of the funnel at X; the score reuses
+    the log-density's sq and exp(-x1)."""
     x1, rest = X[:, 0], X[:, 1:]
     d_rest = rest.shape[1]
     sq = np.einsum("ij,ij->i", rest, rest)
     e = np.exp(-x1)
+    logp = (-0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0)
+            - 0.5 * (d_rest * (_LOG_2PI + x1) + sq * e))
+    if not score:
+        return logp, None
     out = np.empty_like(X)
     out[:, 0] = -x1 / 9.0 - 0.5 * (d_rest - sq * e)
     out[:, 1:] = -rest * e[:, None]
-    return (-0.5 * (math.log(2.0 * math.pi * 9.0) + x1**2 / 9.0)
-            - 0.5 * (d_rest * (_LOG_2PI + x1) + sq * e)), out
+    return logp, out
 
 
-def _himmelblau_logp(X):
+def _himmelblau(X, score=False):
+    """(log-density, score or None) of the Himmelblau target at X."""
     a = X[:, 0] ** 2 + X[:, 1] - 11.0
     b = X[:, 0] + X[:, 1] ** 2 - 7.0
-    return -(a**2) - b**2
-
-
-def _himmelblau_logp_and_score(X):
-    a = X[:, 0] ** 2 + X[:, 1] - 11.0
-    b = X[:, 0] + X[:, 1] ** 2 - 7.0
+    logp = -(a**2) - b**2
+    if not score:
+        return logp, None
     out = np.empty_like(X)
     out[:, 0] = -4.0 * X[:, 0] * a - 2.0 * b
     out[:, 1] = -2.0 * a - 4.0 * X[:, 1] * b
-    return -(a**2) - b**2, out
+    return logp, out
 
 
 BENCHMARK_NAMES = ("gmm", "gmm5-aniso-2d", "funnel", "himmelblau")
@@ -353,21 +354,11 @@ def make_benchmark(name, dim, seed=0):
     if name == "funnel":
         if dim < 2:
             raise ValueError("funnel requires dim >= 2")
-        return TargetDensity(
-            dim=dim,
-            base_log_density=_funnel_logp,
-            base_log_density_and_score=_funnel_logp_and_score,
-            name="funnel",
-        )
+        return _from_joint(_funnel, dim, "funnel")
     if name == "himmelblau":
         if dim != 2:
             raise ValueError("himmelblau is two-dimensional")
-        return TargetDensity(
-            dim=2,
-            base_log_density=_himmelblau_logp,
-            base_log_density_and_score=_himmelblau_logp_and_score,
-            name="himmelblau",
-        )
+        return _from_joint(_himmelblau, 2, "himmelblau")
     raise ValueError(
         f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}"
     )

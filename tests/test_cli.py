@@ -9,6 +9,7 @@ import pytest
 
 from msip.acceptance import _blank_wall_ms
 from msip.cli import main
+from msip.harness import parse_config, run_experiment, write_outputs
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +66,18 @@ class TestUsageErrors:
         })
         assert main(["run", path]) == 1
         assert "particles.count" in capsys.readouterr().err
+
+    def test_too_long_integer_exits_1(self, tmp_path, capsys):
+        # json.loads refuses integers of more than 4300 digits with a
+        # plain ValueError
+        path = tmp_path / "cfg.json"
+        path.write_text('{"target": {"name": "gmm", "dim": 1' + "0" * 5000
+                        + '}, "algorithm": {"name": "msip-f"}}',
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON:")
+        assert "4300" in err
 
     @pytest.mark.parametrize("section,value", [("target", "gmm"),
                                                ("target", 5),
@@ -259,6 +272,32 @@ class TestPlot:
         assert (out / "trial000.svg").read_bytes() == original
         assert (out / "trial001.svg").is_file()
 
+    def test_skips_trials_that_cannot_be_normalized(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, run_doc(tmp_path))
+        assert main(["run", path, "--quiet"]) == 0
+        res = tmp_path / "res"
+        original = (res / "trial000.svg").read_bytes()
+        finals_path = res / "final_particles.json"
+        finals = json.loads(finals_path.read_text(encoding="utf-8"))
+        finals[1]["w"] = [1.0, -1.0, 0.0, 0.0, 0.0]
+        finals_path.write_text(json.dumps(finals), encoding="utf-8")
+        out = tmp_path / "plots"
+        capsys.readouterr()
+        assert main(["plot", str(res), "--out", str(out)]) == 0
+        std = capsys.readouterr()
+        assert std.out == f"wrote {out / 'trial000.svg'}\n"
+        assert std.err.startswith("skipped trial 1: weight sum 0 too close "
+                                  "to zero to normalize")
+        assert (out / "trial000.svg").read_bytes() == original
+        assert not (out / "trial001.svg").exists()
+        # msip run applies the same rule: the trial gets no plot
+        cfg = parse_config(json.dumps(run_doc(tmp_path)))
+        results = run_experiment(cfg)
+        results[1].final.w[:] = finals[1]["w"]
+        paths = write_outputs(cfg, results, out_dir=tmp_path / "rerun")
+        assert "svg:0" in paths and "svg:1" not in paths
+        assert not (tmp_path / "rerun" / "trial001.svg").exists()
+
     def test_requires_run_outputs(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -272,8 +311,10 @@ class TestPlot:
         (b'{"algorithm": "msip-f"}', "summary.json: no config section"),
         (b'{"config": {"target": "gmm", "algorithm": {"name": "msip-f"}}}',
          "summary.json: target: expected an object"),
+        (b'{"config": ' + b"1" * 5000 + b"}",
+         "summary.json: not valid JSON: Exceeds the limit (4300 digits)"),
     ], ids=["not-json", "not-utf8", "not-an-object", "no-config",
-            "bad-config"])
+            "bad-config", "too-long-integer"])
     def test_malformed_summary_exits_1(self, tmp_path, capsys, summary,
                                        message):
         (tmp_path / "summary.json").write_bytes(summary)
@@ -290,6 +331,17 @@ class TestPlot:
         assert main(["plot", str(tmp_path), "--quiet"]) == 1
         assert ("final_particles.json: not valid JSON"
                 in capsys.readouterr().err)
+
+    def test_too_long_integer_in_final_particles_exits_1(self, tmp_path,
+                                                          capsys):
+        summary = {"config": run_doc(tmp_path)}
+        (tmp_path / "summary.json").write_text(json.dumps(summary),
+                                               encoding="utf-8")
+        (tmp_path / "final_particles.json").write_text(
+            '[{"trial": 1' + "0" * 5000 + "}]", encoding="utf-8")
+        assert main(["plot", str(tmp_path), "--quiet"]) == 1
+        assert ("final_particles.json: not valid JSON: Exceeds the limit "
+                "(4300 digits)" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("finals,message", [
         ({"trial": 0}, "final_particles.json: expected a list of trials"),
@@ -351,6 +403,16 @@ class TestBench:
     def test_only_matching_nothing(self, capsys):
         assert main(["bench", "--only", "99"]) == 1
         assert "no criterion 99;" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", [",", "", ",,"])
+    def test_empty_selection_is_rejected_before_any_runs(self, monkeypatch,
+                                                         capsys, only):
+        import msip.acceptance
+
+        monkeypatch.setattr(msip.acceptance, "run_all", None)
+        assert main(["bench", "--only", only]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --only: no criterion number in {only!r}\n")
 
     def test_unknown_criteria_are_rejected_before_any_runs(self, monkeypatch,
                                                            capsys):

@@ -15,6 +15,7 @@ import pytest
 import msip.harness
 import msip.kernel
 import msip.metrics
+from msip import svgplot
 from msip.acceptance import _blank_wall_ms
 from msip.baselines import CbsParams, SvgdParams, run_svgd
 from msip.dynamics import MsipParams, ParticleConfiguration
@@ -347,6 +348,14 @@ class TestParseValidation:
             parse_config("[1, 2]")
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(b'{"target": "\xff"}')
+
+    def test_too_long_integer_is_a_config_error(self):
+        # json.loads raises a plain ValueError past 4300 digits
+        doc = ('{"target": {"name": "gmm", "dim": 1' + "0" * 5000
+               + '}, "algorithm": {"name": "msip-f"}}')
+        with pytest.raises(ConfigError, match=r"^config is not valid JSON: "
+                           r"Exceeds the limit \(4300 digits\)"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("section,value", [
         ("target", "gmm"),
@@ -751,6 +760,9 @@ class TestEmitCsv:
         assert got == want
 
 
+PLANAR_FIXTURES = ("gmm", "gmm5-aniso-2d", "funnel", "himmelblau")
+
+
 class TestScatterSvg:
     def make_pc(self, m=7, seed=171):
         rng = np.random.default_rng(seed)
@@ -795,6 +807,42 @@ class TestScatterSvg:
         fills = [el.get("fill") for el in root.iter()
                  if el.tag.endswith("circle") and el.get("r") == "4"]
         assert len(set(fills)) == 2
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([-1.0, -2.0], [8.0, 9.0]),
+        ([-12.0, -12.0], [12.0, 12.0]),
+        ([2.5, 0.3], [2.6, 0.31]),
+        ([-800.0, -5.0], [-700.0, 5.0]),
+    ], ids=["data-box", "wide", "narrow", "far"])
+    @pytest.mark.parametrize("name", PLANAR_FIXTURES)
+    def test_density_blocks_give_the_whole_grid_bytes(self, name, lo, hi):
+        # the reference evaluates all GRID x GRID points in one call; the
+        # far box makes the funnel's exp(-x1) overflow to -inf and nan
+        target = make_benchmark(name, 2)
+        lo, hi = np.array(lo), np.array(hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], svgplot.GRID),
+                                 np.linspace(lo[1], hi[1], svgplot.GRID))
+            logp = target.log_density(
+                np.column_stack([gx.ravel(), gy.ravel()])
+            ).reshape(svgplot.GRID, svgplot.GRID)
+            finite = np.isfinite(logp)
+            dens = np.zeros_like(logp)
+            if finite.any():
+                dens[finite] = np.exp(logp[finite] - logp[finite].max())
+            gray = np.round(255.0 - 170.0 * dens[::-1]).astype(np.uint8)
+            got = svgplot._density_png(target, lo, hi)
+        assert got == svgplot._png_gray(gray)
+
+    @pytest.mark.parametrize("name", PLANAR_FIXTURES)
+    def test_traced_peak_of_a_plot(self, tmp_path, name):
+        # Evaluated on the whole 200 x 200 grid at once, the mixtures'
+        # temporaries took a plot to 9.6 MB; in blocks of 25 rows every
+        # fixture stays near 1.4 MB.
+        target = make_benchmark(name, 2)
+        peak = conftest.traced_peak(emit_scatter_svg, self.make_pc(),
+                                    target, tmp_path / "plot.svg")
+        assert peak <= 2e6
 
     def test_rejects_non_planar_configurations(self, tmp_path):
         target = make_benchmark("gmm", 3, seed=0)

@@ -13,8 +13,7 @@ from msip.targets import (
     BENCHMARK_NAMES,
     GmmTarget,
     TargetDensity,
-    _funnel_logp,
-    _funnel_logp_and_score,
+    _funnel,
     _mixture,
     from_gmm,
     gmm_c_pi,
@@ -445,8 +444,8 @@ class TestBenchmarks:
                                    atol=1e-14)
         with pytest.raises(ValueError, match="dim"):
             make_benchmark("funnel", 1)
-        # the joint evaluation gives _funnel_logp's bytes and those of the
-        # score written out on its own, also where exp(-x1) overflows
+        # both evaluations give the bytes of the log-density and of the
+        # score written out on their own, also where exp(-x1) overflows
         rng = np.random.default_rng(63)
         for d in (2, 10):
             X = np.concatenate([s * rng.standard_normal((50, d))
@@ -458,9 +457,14 @@ class TestBenchmarks:
                 score[:, 0] = -x1 / 9.0 - 0.5 * (
                     d - 1 - np.einsum("ij,ij->i", rest, rest) * np.exp(-x1))
                 score[:, 1:] = -rest * np.exp(-x1)[:, None]
-                lp, sc = _funnel_logp_and_score(X)
-                want_lp = _funnel_logp(X)
-            assert lp.tobytes() == want_lp.tobytes()
+                want_lp = -0.5 * (math.log(2.0 * math.pi * 9.0)
+                                  + x1**2 / 9.0) - 0.5 * (
+                    (d - 1) * (math.log(2.0 * math.pi) + x1)
+                    + np.einsum("ij,ij->i", rest, rest) * np.exp(-x1))
+                lp, sc = _funnel(X, score=True)
+                lp_only, no_score = _funnel(X)
+            assert no_score is None
+            assert lp.tobytes() == lp_only.tobytes() == want_lp.tobytes()
             assert sc.tobytes() == score.tobytes()
 
     def test_funnel_score_matches_finite_differences(self):
