@@ -60,10 +60,9 @@ from .harness import (
 from .kernel import KernelSpec, gram, log_omega, omega, se_kernel
 from .metrics import (
     MetricsReport,
-    SampleMmd,
+    Mmd,
     ksd,
     ksd2,
-    mmd2_vs_gmm,
     mode_coverage,
     normalize_weights,
     weighted_loglik,

@@ -63,7 +63,7 @@ class MsipParams:
     T: int = 1000
     estimator: str = "fredholm"
     Q: int = 10
-    gamma: float = 1.0
+    gamma: float = 0.5
     bounds: tuple | None = None
     seed: int = 0
 

@@ -59,7 +59,7 @@ class EmbeddingEstimate:
     score_evals: int
 
 
-def estimate_embeddings(t, Y, sigma, nodes, estimator, gamma=1.0):
+def estimate_embeddings(t, Y, sigma, nodes, estimator, gamma=0.5):
     """(v0_hat, v1_hat) at Y for a named estimator, from one target call.
 
     With pi_q = pi(y + sigma xi_q) at the Q x d nodes xi_q, s_q its score

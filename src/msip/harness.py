@@ -25,9 +25,8 @@ from .errors import ConfigError, DivergedRunError, NonNormalizableError
 from .kernel import KernelSpec, workspace
 from .metrics import (
     MetricsReport,
-    SampleMmd,
+    Mmd,
     ksd,
-    mmd2_vs_gmm,
     normalize_weights,
     weighted_loglik,
     mode_coverage,
@@ -36,12 +35,14 @@ from .metrics import (
 from .svgplot import emit_scatter_svg, emit_trial_svgs
 from .targets import BENCHMARK_NAMES, make_benchmark, reference_samples
 
-CSV_HEADER = (
-    "trial,iteration,mmd2,ksd,loglik,wall_ms,density_evals,"
-    "score_evals,status"
-)
-
-METRIC_NAMES = ("mmd2", "ksd", "loglik", "coverage")
+# The metrics of a metric row; coverage is taken once, at a trial's end.
+ROW_METRICS = ("mmd2", "ksd", "loglik")
+METRIC_NAMES = ROW_METRICS + ("coverage",)
+# The keys of a row of metrics.csv, in its order; a trial's report rows
+# hold all of them but trial.
+COLUMNS = ("trial", "iteration", *ROW_METRICS, "wall_ms", "density_evals",
+           "score_evals", "status")
+CSV_HEADER = ",".join(COLUMNS)
 _FORMATS = ("csv", "json", "svg")
 _SECTIONS = ("target", "algorithm", "particles", "metrics", "trials", "output")
 
@@ -105,7 +106,7 @@ def _msip_params(estimator, sigma, lam, bounds, **rest):
 def _msip(estimator):
     return Algorithm(
         lambda row: {"eta": row["eta"], "sigma": row["sigma"], "lam": 1e-6,
-                     "T": 1000, "Q": 10, "gamma": 0.5,
+                     "T": 1000, "Q": 10, "gamma": MsipParams.gamma,
                      "bounds": [-1000.0, 1000.0]},
         partial(_msip_params, estimator), "run_msip", msip=True)
 
@@ -339,74 +340,37 @@ def build_params(cfg, seed):
 # ------------------------------------------------------------------ execution
 
 
-class _TrialRecorder:
-    """Accumulates metric rows and cumulative counters for one trial.
-
+def _metric_row(cfg, target, mmd, Y, w, work):
+    """{metric: value} of (Y, w) for each of ROW_METRICS, None where the
+    metric is not requested and NaN for each requested one when w cannot
+    be normalized. One target evaluation at Y serves ksd and loglik.
     work is the trial's Gram workspace (None outside MSIP), which the
-    exact MMD^2 and the KSD borrow: rows are recorded between steps.
-    """
-
-    def __init__(self, cfg, target, ksd_bandwidth, ref_mmd, t0, work=None):
-        self.cfg = cfg
-        self.target = target
-        self.ksd_bandwidth = ksd_bandwidth
-        self.ref_mmd = ref_mmd
-        self.work = work
-        self.t0 = t0
-        self.rows = []
-        self.status = "ok"
-        self.density_evals = 0
-        self.score_evals = 0
-        self.last = None  # the last (Y_it, w_it) the callback saw
-
-    def record(self, iteration, Y, w):
-        requested = self.cfg.metrics["list"]
-        mmd_bw = self.cfg.metrics["mmd_bandwidth"]
+    MMD^2 and the KSD borrow: rows are taken between steps."""
+    requested = cfg.metrics["list"]
+    try:
+        wn = normalize_weights(w)
+    except NonNormalizableError:
+        return {m: math.nan if m in requested else None for m in ROW_METRICS}
+    row = dict.fromkeys(ROW_METRICS)
+    if "ksd" in requested:
+        logp, S = target.log_density_and_score(Y)
+    elif "loglik" in requested:
+        logp = target.log_density(Y)
+    if "mmd2" in requested:
+        row["mmd2"] = mmd(Y, wn, work=work)
+    if "ksd" in requested:
         try:
-            wn = normalize_weights(w)
-        except NonNormalizableError:
-            wn = None
-        vals = {"mmd2": None, "ksd": None, "loglik": None}
-        # One target evaluation at Y serves both ksd and loglik.
-        if wn is not None and "ksd" in requested:
-            logp, S = self.target.log_density_and_score(Y)
-        elif wn is not None and "loglik" in requested:
-            logp = self.target.log_density(Y)
-        if "mmd2" in requested:
-            if wn is None:
-                vals["mmd2"] = float("nan")
-            elif self.target.analytic is not None:
-                vals["mmd2"] = mmd2_vs_gmm(
-                    Y, wn, self.target.analytic, mmd_bw, work=self.work
-                )
-            else:
-                vals["mmd2"] = self.ref_mmd(Y, wn)
-        if "ksd" in requested:
-            vals["ksd"] = float("nan")
-            if wn is not None:
-                try:
-                    vals["ksd"] = ksd(Y, wn, S, self.ksd_bandwidth,
-                                     work=self.work)
-                except ValueError:  # the score is not finite at some y_i
-                    pass
-        if "loglik" in requested:
-            vals["loglik"] = (
-                weighted_loglik(wn, logp) if wn is not None
-                else float("nan")
-            )
-        self.rows.append({
-            "iteration": iteration,
-            "mmd2": vals["mmd2"],
-            "ksd": vals["ksd"],
-            "loglik": vals["loglik"],
-            "wall_ms": (time.perf_counter() - self.t0) * 1e3,
-            "density_evals": self.density_evals,
-            "score_evals": self.score_evals,
-            "status": self.status,
-        })
+            row["ksd"] = ksd(Y, wn, S, cfg.metrics["ksd_bandwidth"],
+                             work=work)
+        except ValueError:  # the score is not finite at some y_i
+            row["ksd"] = math.nan
+    if "loglik" in requested:
+        row["loglik"] = weighted_loglik(wn, logp)
+    return row
 
 
-def _run_trial(cfg, target, trial, ref_mmd):
+def _run_trial(cfg, target, trial, mmd):
+    """One trial; mmd is the experiment's Mmd, or None without mmd2."""
     seed = cfg.trials["base_seed"] + trial
     d = cfg.target["dim"]
     M = cfg.particles["M"]
@@ -420,18 +384,34 @@ def _run_trial(cfg, target, trial, ref_mmd):
     # one Gram workspace per MSIP trial: every step's system and the
     # metric rows between steps
     work = workspace(M) if algorithm.msip else None
-    rec = _TrialRecorder(cfg, target, cfg.metrics["ksd_bandwidth"], ref_mmd,
-                         t0=time.perf_counter(), work=work)
+    t0 = time.perf_counter()
     uniform = np.full(M, 1.0 / M)
+    rows = []
+    counts = {"density_evals": 0, "score_evals": 0}
+    status = "ok"
+    last = None  # the last (Y_it, w_it) the callback saw
+
+    def record(iteration, Y, w):
+        rows.append({
+            "iteration": iteration,
+            **_metric_row(cfg, target, mmd, Y, w, work),
+            "wall_ms": (time.perf_counter() - t0) * 1e3,
+            **counts,
+            "status": status,
+        })
+
+    def count(diag):
+        for key in counts:
+            counts[key] += diag[key]
 
     def cb(it, Y, w, diag):
-        rec.last = (Y, uniform if w is None else w)
+        nonlocal last, status
+        last = (Y, uniform if w is None else w)
         if it % every == 0:
-            rec.record(it, *rec.last)
-        rec.density_evals += diag["density_evals"]
-        rec.score_evals += diag["score_evals"]
+            record(it, *last)
+        count(diag)
         if diag["frozen"]:
-            rec.status = "degenerate-weights-occurred"
+            status = "degenerate-weights-occurred"
 
     run = globals()[algorithm.runner]
     if work is not None:
@@ -439,16 +419,15 @@ def _run_trial(cfg, target, trial, ref_mmd):
     try:
         final, after = run(target, params, Y0, callbacks=[cb])
     except DivergedRunError:
-        rec.status = "diverged"
-        if rec.rows:
-            rec.rows[-1]["status"] = "diverged"
-        Y, w = (Y0, uniform) if rec.last is None else rec.last
+        status = "diverged"
+        if rows:
+            rows[-1]["status"] = "diverged"
+        Y, w = (Y0, uniform) if last is None else last
         final = ParticleConfiguration(Y=Y, w=w)
     else:
         # the final row's counters include the work after the last step
-        rec.density_evals += after["density_evals"]
-        rec.score_evals += after["score_evals"]
-        rec.record(params.T, final.Y, final.w)
+        count(after)
+        record(params.T, final.Y, final.w)
 
     coverage = None
     if "coverage" in cfg.metrics["list"] and target.analytic is not None:
@@ -462,8 +441,8 @@ def _run_trial(cfg, target, trial, ref_mmd):
             coverage = 0
 
     return TrialResult(trial=trial, seed=seed,
-                       report=MetricsReport(rows=rec.rows), final=final,
-                       status=rec.status, coverage=coverage)
+                       report=MetricsReport(rows=rows), final=final,
+                       status=status, coverage=coverage)
 
 
 def run_experiment(cfg, on_trial=None):
@@ -475,16 +454,19 @@ def run_experiment(cfg, on_trial=None):
     keeps the implementation simple and the outputs identical.
     """
     target = make_benchmark(**cfg.target)
-    ref_mmd = None
-    if "mmd2" in cfg.metrics["list"] and target.analytic is None:
-        X = reference_samples(
-            target, cfg.metrics["reference_sample_size"],
-            [cfg.trials["base_seed"], 3],
-        )
-        ref_mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
+    mmd = None
+    if "mmd2" in cfg.metrics["list"]:
+        # exact against a mixture, else against one seeded reference sample
+        reference = target.analytic
+        if reference is None:
+            reference = reference_samples(
+                target, cfg.metrics["reference_sample_size"],
+                [cfg.trials["base_seed"], 3],
+            )
+        mmd = Mmd(reference, cfg.metrics["mmd_bandwidth"])
     results = []
     for trial in range(cfg.trials["count"]):
-        result = _run_trial(cfg, target, trial, ref_mmd)
+        result = _run_trial(cfg, target, trial, mmd)
         results.append(result)
         if on_trial is not None:
             on_trial(result)
@@ -507,17 +489,8 @@ def emit_csv(results, path):
     lines = [CSV_HEADER]
     for r in results:
         for row in r.report.rows:
-            lines.append(",".join([
-                str(r.trial),
-                str(row["iteration"]),
-                _fmt_cell(row["mmd2"]),
-                _fmt_cell(row["ksd"]),
-                _fmt_cell(row["loglik"]),
-                _fmt_cell(row["wall_ms"]),
-                str(row["density_evals"]),
-                str(row["score_evals"]),
-                row["status"],
-            ]))
+            cells = {**row, "trial": r.trial}
+            lines.append(",".join(_fmt_cell(cells[c]) for c in COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -544,7 +517,7 @@ def summarize(cfg, results):
     survived = [r for r in results if r.status != "diverged"]
     per_metric = {}
     non_finite = {}
-    for m in ("mmd2", "ksd", "loglik"):
+    for m in ROW_METRICS:
         if m not in cfg.metrics["list"]:
             continue
         values = [r.report.rows[-1][m] for r in survived if r.report.rows]
@@ -577,8 +550,7 @@ def summarize(cfg, results):
         if r.report.rows:
             last = r.report.rows[-1]
             finals = {
-                m: last[m] for m in ("mmd2", "ksd", "loglik")
-                if last[m] is not None
+                m: last[m] for m in ROW_METRICS if last[m] is not None
             }
             finals["iteration"] = last["iteration"]
         summary["trials"].append({

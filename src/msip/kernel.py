@@ -93,7 +93,7 @@ def workspace(M):
     G is C-order and takes the Gram matrix (``gram(..., out=G)``); L is
     Fortran order and takes its Cholesky factor (``solve(...,
     factor=L)``), which dpotrf then computes in place. The metrics borrow
-    the pair between steps (``metrics.mmd2_vs_gmm`` and ``metrics.ksd``).
+    the pair between steps (``metrics.Mmd`` and ``metrics.ksd``).
     """
     return np.empty((M, M)), np.empty((M, M), order="F")
 

@@ -1,15 +1,15 @@
 """Evaluation metrics for weighted particle configurations.
 
-Exact squared MMD against Gaussian-mixture targets, a sample-estimated
-squared MMD for targets without analytic embeddings, kernelized Stein
-discrepancy with an inverse-multiquadric kernel, weighted log-likelihood,
-and mode coverage. All metrics are permutation invariant in (particles,
-weights) jointly.
+Squared MMD against a reference (``Mmd``: exact for a Gaussian mixture,
+sample-estimated for targets without analytic embeddings), kernelized
+Stein discrepancy with an inverse-multiquadric kernel, weighted
+log-likelihood, and mode coverage. All metrics are permutation invariant
+in (particles, weights) jointly.
 
-The exact MMD^2 and the KSD build M x M matrices. An MSIP trial lends
-them its Gram workspace (``kernel.workspace(M)``, passed as work=), which
-the step has finished with whenever a metric row is taken, so a metric
-row allocates no M x M array; without work= each call allocates its own,
+The MMD^2 and the KSD build M x M matrices. An MSIP trial lends them its
+Gram workspace (``kernel.workspace(M)``, passed as work=), which the step
+has finished with whenever a metric row is taken, so a metric row
+allocates no M x M array; without work= each call allocates its own,
 with the same bits.
 """
 
@@ -27,7 +27,7 @@ from ._backend import (
     sym_se_matrix,
 )
 from .errors import NonNormalizableError
-from .targets import gmm_c_pi, gmm_v0, normalized
+from .targets import GmmTarget, gmm_c_pi, gmm_v0, normalized
 
 # Below this total mass the weight vector cannot be renormalized.
 _SUM_FLOOR = 1e-12
@@ -43,8 +43,9 @@ IMQ_BETA = -0.5
 class MetricsReport:
     """Per-iteration metric rows of one trial.
 
-    Rows are dicts {iteration, mmd2, ksd, loglik, wall_ms, density_evals,
-    score_evals} ordered by iteration; unrequested metrics hold None.
+    Rows are dicts keyed by ``harness.COLUMNS`` less trial (iteration,
+    mmd2, ksd, loglik, wall_ms, density_evals, score_evals, status),
+    ordered by iteration; unrequested metrics hold None.
     """
 
     rows: list = field(default_factory=list)
@@ -62,61 +63,67 @@ def normalize_weights(w):
     return w / s
 
 
-def mmd2_vs_gmm(Y, w, t, sigma, work=None):
-    """Exact MMD^2 between the weighted configuration and a unit-mass GMM.
+class Mmd:
+    """Squared MMD of weighted configurations against one reference.
 
-    C_pi - 2 <w, v0(Y)> + w' K w with analytic C_pi and v0 and the plain
-    (unregularized) kernel matrix; clamped at zero against round-off.
-    K is written into the Gram buffer of work, a ``kernel.workspace(M)``
-    pair lent by the run between its steps, or into a new array.
-    """
-    Y = np.asarray(Y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    tn = normalized(t)
-    v0 = gmm_v0(tn, Y, sigma)
-    K = sym_se_matrix(Y, sigma**2, out=None if work is None else work[0])
-    val = gmm_c_pi(tn, sigma) - 2.0 * float(w @ v0) + float(w @ K @ w)
-    return max(val, 0.0)
+    The reference is a Gaussian mixture, whose MMD^2 is exact, or an
+    N x d sample X, whose MMD^2 is the plug-in V-statistic (Gretton et
+    al. 2012). Both evaluate c - 2 <w, e(Y)> + w' K w, clamped at zero
+    against round-off: e is the reference's kernel embedding, c its
+    squared RKHS norm and K the plain (unregularized) SE matrix of Y.
 
-
-class SampleMmd:
-    """Plug-in MMD^2 (V-statistic) against one reference sample X.
-
-    mean_n a_n - 2 mean_n b_n + w' K w, where a_n = (1/N) sum_m k(x_n, x_m)
-    is the mean kernel value of x_n against the sample and
-    b_n = sum_i w_i k(x_n, y_i). X is sorted and tiled once, here, and
-    the a_n, which cost O(N^2), and their mean are computed once from the
-    tiles; each evaluation sums each particle over the tiles within the
-    cutoff.
+    Everything that does not depend on (Y, w) is computed once, here:
+    for a mixture its unit-mass copy and C_pi; for a sample its tiles
+    (sorted by grid cell) and the mean kernel value a_n of each x_n
+    against the sample, which cost O(N^2), with c = mean_n a_n. A call
+    takes <w, e(Y)> as w' v0(Y) for a mixture and as mean_n b_n, with
+    b_n = sum_i w_i k(x_n, y_i) summed over the tiles within the cutoff,
+    for a sample.
     """
 
-    def __init__(self, X, sigma):
-        X = np.asarray(X, dtype=float)
+    def __init__(self, reference, sigma):
         self.sigma = sigma
-        self._tiles = SeTiles(X, 1.0 / (2.0 * sigma**2))
-        self._a = se_self_rowsums(self._tiles) / X.shape[0]
-        self._a_mean = float(self._a.mean())
+        if isinstance(reference, GmmTarget):
+            self._gmm = normalized(reference)
+            self._c = gmm_c_pi(self._gmm, sigma)
+        else:
+            X = np.asarray(reference, dtype=float)
+            self._gmm = None
+            self._tiles = SeTiles(X, 1.0 / (2.0 * sigma**2))
+            self._a = se_self_rowsums(self._tiles) / X.shape[0]
+            self._c = float(self._a.mean())
 
-    def _evaluate(self, Y, w):
+    def _evaluate(self, Y, w, work):
+        """(MMD^2, the b_n of a sample reference or None)."""
         Y = np.asarray(Y, dtype=float)
         w = np.asarray(w, dtype=float)
-        b = se_cross_rowsums(self._tiles, Y, w)
-        val = self._a_mean - 2.0 * float(b.mean()) \
-            + float(w @ sym_se_matrix(Y, self.sigma**2) @ w)
-        return max(val, 0.0), b
+        if self._gmm is not None:
+            b = None
+            cross = float(w @ gmm_v0(self._gmm, Y, self.sigma))
+        else:
+            b = se_cross_rowsums(self._tiles, Y, w)
+            cross = float(b.mean())
+        K = sym_se_matrix(Y, self.sigma**2,
+                          out=None if work is None else work[0])
+        return max(self._c - 2.0 * cross + float(w @ K @ w), 0.0), b
 
-    def __call__(self, Y, w):
-        """MMD^2 of the weighted configuration; clamped at zero."""
-        return self._evaluate(Y, w)[0]
+    def __call__(self, Y, w, work=None):
+        """MMD^2 of the weighted configuration (Y, w).
+
+        K is written into the Gram buffer of work, a
+        ``kernel.workspace(M)`` pair lent by the run between its steps,
+        or into a new array; the bits are the same.
+        """
+        return self._evaluate(Y, w, work)[0]
 
     def with_se(self, Y, w, n_boot=200, seed=0):
-        """(mmd2, bootstrap standard error) of the estimate.
+        """(mmd2, bootstrap standard error) against a reference sample.
 
         Resamples the per-sample linearization psi_n = 2 a_n - 2 b_n of
         the V-statistic, which is accurate to O(1/N) and avoids
         recomputing the N x N kernel sum per replicate.
         """
-        mmd2, b = self._evaluate(Y, w)
+        mmd2, b = self._evaluate(Y, w, None)
         psi = 2.0 * self._a - 2.0 * b
         n = psi.shape[0]
         rng = np.random.default_rng(seed)

@@ -183,7 +183,7 @@ class TestNumpyImplementations:
         # At sigma = 0.5 the cutoff skips 31 of the 210 tile pairs here.
         # Every row must stay within the stated 1e-12 of the direct sum, and
         # the sums must come back in input order: the bootstrap in
-        # SampleMmd.with_se pairs them row by row with the cross sums.
+        # Mmd.with_se pairs them row by row with the cross sums.
         X = reference_samples(make_benchmark("gmm", 2, seed=0), 5000, [0, 1])
         inv = 1.0 / (2.0 * 0.5**2)
         perm = np.random.default_rng(169).permutation(5000)

@@ -62,7 +62,7 @@ class TestMsipParams:
     def test_defaults(self):
         p = params()
         assert p.eta == 0.5 and p.T == 1000 and p.Q == 10
-        assert p.gamma == 1.0 and p.bounds is None
+        assert p.gamma == 0.5 and p.bounds is None
 
     @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5])
     def test_step_size_outside_half_open_interval_rejected(self, eta):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -23,8 +24,8 @@ from msip.errors import ConfigError, UnsupportedDimensionError
 from msip.harness import (
     ALGORITHM_NAMES,
     CSV_HEADER,
+    _metric_row,
     _run_trial,
-    _TrialRecorder,
     build_params,
     emit_csv,
     emit_scatter_svg,
@@ -34,8 +35,9 @@ from msip.harness import (
     summarize,
     write_outputs,
 )
+from msip.embeddings import estimate_embeddings
 from msip.metrics import (
-    SampleMmd,
+    Mmd,
     ksd,
     normalize_weights,
     weighted_loglik,
@@ -423,6 +425,15 @@ class TestBuildParams:
             assert p.kernel.sigma == 0.5 and p.kernel.lam == 1e-6
             assert p.bounds == (-1000.0, 1000.0)
 
+    def test_gamma_has_one_default(self):
+        # A config's gamma, MsipParams' and estimate_embeddings' agree.
+        cfg = parse({"target": {"name": "gmm", "dim": 2},
+                     "algorithm": {"name": "msip-hybrid"}})
+        default = inspect.signature(estimate_embeddings) \
+            .parameters["gamma"].default
+        assert cfg.algorithm["params"]["gamma"] == MsipParams.gamma \
+            == default == 0.5
+
     def test_baseline_params(self):
         svgd = build_params(
             parse({"target": {"name": "gmm", "dim": 2},
@@ -452,10 +463,11 @@ class TestRunExperiment:
             trials={"count": 1, "base_seed": 0},
         )
         target = make_benchmark("gmm", 10, 0)
+        mmd = Mmd(target.analytic, cfg.metrics["mmd_bandwidth"])
         # the first run fills the target's caches; its last rows hold a KSD
-        rows = _run_trial(cfg, target, 0, None).report.rows
+        rows = _run_trial(cfg, target, 0, mmd).report.rows
         assert math.isfinite(rows[-1]["ksd"])
-        peak = conftest.traced_peak(_run_trial, cfg, target, 0, None)
+        peak = conftest.traced_peak(_run_trial, cfg, target, 0, mmd)
         assert peak <= 3.25 * 400 * 400 * 8
 
     def test_row_cadence(self):
@@ -576,9 +588,39 @@ class TestRunExperiment:
         assert all(math.isfinite(row["mmd2"]) for row in rows)
         target = make_benchmark("funnel", 2, cfg.target["seed"])
         X = reference_samples(target, 400, [0, 3])
-        mmd = SampleMmd(X, cfg.metrics["mmd_bandwidth"])
+        mmd = Mmd(X, cfg.metrics["mmd_bandwidth"])
         final = result.final
         assert rows[-1]["mmd2"] == mmd(final.Y, normalize_weights(final.w))
+
+    def test_mixture_norm_computed_once_per_experiment(self, monkeypatch):
+        # The exact MMD^2's C_pi depends on neither Y nor w.
+        cfg = small_config()
+        calls = []
+        c_pi = msip.metrics.gmm_c_pi
+
+        def counted(*args):
+            calls.append(args)
+            return c_pi(*args)
+
+        monkeypatch.setattr(msip.metrics, "gmm_c_pi", counted)
+        results = run_experiment(cfg)
+        assert sum(len(r.report.rows) for r in results) == 10
+        assert len(calls) == 1
+
+    @staticmethod
+    def counted_target(target, calls):
+        def counted(fn):
+            def wrapped(X):
+                calls.append(X.shape[0])
+                return fn(X)
+            return wrapped
+
+        return dataclasses.replace(
+            target,
+            base_log_density=counted(target.base_log_density),
+            base_log_density_and_score=counted(
+                target.base_log_density_and_score),
+        )
 
     def test_metric_row_evaluates_target_once(self):
         # ksd and loglik share one log_density_and_score call at Y.
@@ -586,30 +628,32 @@ class TestRunExperiment:
                                     "every_n_iters": 5})
         target = make_benchmark("gmm", 2, cfg.target["seed"])
         calls = []
-
-        def counted(fn):
-            def wrapped(X):
-                calls.append(X.shape[0])
-                return fn(X)
-            return wrapped
-
-        counted_target = dataclasses.replace(
-            target,
-            base_log_density=counted(target.base_log_density),
-            base_log_density_and_score=counted(
-                target.base_log_density_and_score),
-        )
-        rec = _TrialRecorder(cfg, counted_target,
-                             cfg.metrics["ksd_bandwidth"], None, t0=0.0)
+        mmd = Mmd(target.analytic, cfg.metrics["mmd_bandwidth"])
         Y = reference_samples(target, 5, seed=3)
-        rec.record(0, Y, np.full(5, 0.2))
+        row = _metric_row(cfg, self.counted_target(target, calls), mmd, Y,
+                          np.full(5, 0.2), None)
         assert calls == [5]
-        row = rec.rows[0]
         S = target.score(Y)
         assert row["ksd"] == ksd(Y, np.full(5, 0.2), S,
                                  cfg.metrics["ksd_bandwidth"])
         assert row["loglik"] == weighted_loglik(np.full(5, 0.2),
                                                 target.log_density(Y))
+
+    def test_unnormalizable_weights_give_nan_row(self):
+        # Weights summing to zero: every requested metric reads NaN, the
+        # others None, and the target is never evaluated.
+        cfg = small_config(metrics={"list": ["mmd2", "ksd"],
+                                    "every_n_iters": 5})
+        target = make_benchmark("gmm", 2, cfg.target["seed"])
+        calls = []
+        mmd = Mmd(target.analytic, cfg.metrics["mmd_bandwidth"])
+        Y = reference_samples(target, 4, seed=3)
+        row = _metric_row(cfg, self.counted_target(target, calls), mmd, Y,
+                          np.array([1.0, -1.0, 0.5, -0.5]), None)
+        assert list(row) == ["mmd2", "ksd", "loglik"]
+        assert math.isnan(row["mmd2"]) and math.isnan(row["ksd"])
+        assert row["loglik"] is None
+        assert calls == []
 
     def test_non_finite_score_records_nan_ksd(self):
         # CBS throws funnel particles so far out that the score overflows

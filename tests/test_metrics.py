@@ -14,10 +14,9 @@ from msip.kernel import KernelSpec, gram, se_kernel, solve, workspace
 from msip.metrics import (
     IMQ_BETA,
     IMQ_C2,
-    SampleMmd,
+    Mmd,
     ksd,
     ksd2,
-    mmd2_vs_gmm,
     mode_coverage,
     normalize_weights,
     weighted_loglik,
@@ -56,7 +55,7 @@ class TestNormalizeWeights:
 class TestMmd2VsGmm:
     def test_single_particle_closed_form(self):
         # 1/sqrt(3) - 2/sqrt(2) + 1 for y = 0, w = 1, sigma = 1.
-        val = mmd2_vs_gmm(np.zeros((1, 1)), np.ones(1), STD_NORMAL_GMM, 1.0)
+        val = Mmd(STD_NORMAL_GMM, 1.0)(np.zeros((1, 1)), np.ones(1))
         expected = 1.0 / math.sqrt(3.0) - 2.0 / math.sqrt(2.0) + 1.0
         assert val == pytest.approx(expected, rel=1e-12)
         assert val == pytest.approx(0.1631, abs=5e-5)
@@ -68,7 +67,7 @@ class TestMmd2VsGmm:
                        estimator="analytic")
         Y = reference_samples(target, 10, seed=15)
         w = msip_step(Y, target, p)[1]
-        val = mmd2_vs_gmm(Y, w, target.analytic, 0.5)
+        val = Mmd(target.analytic, 0.5)(Y, w)
         assert val == pytest.approx(2.0 * objective(Y, target, p),
                                     rel=1e-10, abs=1e-14)
 
@@ -81,7 +80,7 @@ class TestMmd2VsGmm:
         Y = rng.uniform(0.0, 7.5, size=(25, 2))
         p = MsipParams(kernel=KernelSpec(0.5, 0.0), estimator="analytic")
         w = solve(gram(Y, p.kernel), gmm_v0(target.analytic, Y, 0.5))
-        assert mmd2_vs_gmm(Y, w, target.analytic, 0.5) == \
+        assert Mmd(target.analytic, 0.5)(Y, w) == \
             2.0 * objective(Y, target, p)
 
     def test_nonnegative_for_arbitrary_weights(self):
@@ -90,7 +89,7 @@ class TestMmd2VsGmm:
         for _ in range(20):
             Y = rng.uniform(0.0, 7.5, size=(6, 2))
             w = rng.standard_normal(6)
-            assert mmd2_vs_gmm(Y, w, target, 0.5) >= 0.0
+            assert Mmd(target, 0.5)(Y, w) >= 0.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(142)
@@ -98,8 +97,8 @@ class TestMmd2VsGmm:
         Y = rng.uniform(0.0, 7.5, size=(8, 2))
         w = rng.standard_normal(8)
         perm = rng.permutation(8)
-        assert mmd2_vs_gmm(Y[perm], w[perm], target, 0.5) == pytest.approx(
-            mmd2_vs_gmm(Y, w, target, 0.5), rel=1e-12
+        assert Mmd(target, 0.5)(Y[perm], w[perm]) == pytest.approx(
+            Mmd(target, 0.5)(Y, w), rel=1e-12
         )
 
     def test_invariant_to_mixture_mass(self):
@@ -108,8 +107,8 @@ class TestMmd2VsGmm:
         rng = np.random.default_rng(143)
         Y = rng.uniform(0.0, 7.5, size=(5, 2))
         w = rng.standard_normal(5)
-        assert mmd2_vs_gmm(Y, w, t5, 0.5) == pytest.approx(
-            mmd2_vs_gmm(Y, w, t, 0.5), rel=1e-12
+        assert Mmd(t5, 0.5)(Y, w) == pytest.approx(
+            Mmd(t, 0.5)(Y, w), rel=1e-12
         )
 
     def test_decreases_as_configuration_matches_target(self):
@@ -118,7 +117,7 @@ class TestMmd2VsGmm:
         bad = np.full((50, 2), 20.0)
         w = np.full(50, 0.02)
         t = target.analytic
-        assert mmd2_vs_gmm(good, w, t, 0.5) < mmd2_vs_gmm(bad, w, t, 0.5)
+        assert Mmd(t, 0.5)(good, w) < Mmd(t, 0.5)(bad, w)
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
@@ -137,7 +136,7 @@ class TestMmd2VsGmm:
         spec = KernelSpec(0.5)
         gap = sum(wi * se_kernel(y, z, spec) for wi, y in zip(w, Y)) \
             - gmm_v0(t, z, 0.5)
-        assert abs(gap) <= math.sqrt(mmd2_vs_gmm(Y, w, t, 0.5)) + 1e-7
+        assert abs(gap) <= math.sqrt(Mmd(t, 0.5)(Y, w)) + 1e-7
 
 
 class TestLentWorkspace:
@@ -152,10 +151,22 @@ class TestLentWorkspace:
         work = workspace(M)
         work[0].fill(np.nan)
         work[1].fill(np.nan)
-        assert mmd2_vs_gmm(Y, w, target.analytic, 0.7, work=work) \
-            == mmd2_vs_gmm(Y, w, target.analytic, 0.7)
+        assert Mmd(target.analytic, 0.7)(Y, w, work=work) \
+            == Mmd(target.analytic, 0.7)(Y, w)
         assert ksd(Y, w, S, 1.3, work=work) == ksd(Y, w, S, 1.3)
         assert not np.isnan(work[0]).any() and not np.isnan(work[1]).any()
+
+    def test_sample_mmd_keeps_its_bits_and_writes_k(self):
+        # Against a reference sample, the MMD^2 lends its plain SE matrix
+        # the workspace's Gram buffer as the exact one does.
+        rng = np.random.default_rng(152)
+        Y = rng.standard_normal((70, 2))
+        w = normalize_weights(rng.uniform(0.5, 1.5, 70))
+        mmd = Mmd(rng.standard_normal((500, 2)), 0.8)
+        work = workspace(70)
+        work[0].fill(np.nan)
+        assert mmd(Y, w, work=work) == mmd(Y, w)
+        np.testing.assert_array_equal(work[0], gram(Y, KernelSpec(0.8, 0.0)))
 
 
 class TestMmd2VsSamples:
@@ -163,7 +174,7 @@ class TestMmd2VsSamples:
         target = make_benchmark("gmm", 2, seed=14)
         X = reference_samples(target, 400, seed=17)
         w = np.full(400, 1.0 / 400)
-        assert abs(SampleMmd(X, 0.5)(X, w)) < 1e-10
+        assert abs(Mmd(X, 0.5)(X, w)) < 1e-10
 
     def test_agrees_with_exact_mmd_within_sampling_error(self):
         target = make_benchmark("gmm", 2, seed=14)
@@ -172,8 +183,8 @@ class TestMmd2VsSamples:
         Y = rng.uniform(0.0, 7.5, size=(12, 2))
         w = np.full(12, 1.0 / 12)
         X = reference_samples(target, 4000, seed=18)
-        exact = mmd2_vs_gmm(Y, w, t, 0.5)
-        mmd = SampleMmd(X, 0.5)
+        exact = Mmd(t, 0.5)(Y, w)
+        mmd = Mmd(X, 0.5)
         est, se = mmd.with_se(Y, w, n_boot=300, seed=19)
         assert est == mmd(Y, w)
         assert abs(est - exact) <= 4.0 * se + 2.0 / 4000
@@ -183,9 +194,9 @@ class TestMmd2VsSamples:
         Y = rng.standard_normal((7, 2))
         w = rng.standard_normal(7)
         X = rng.standard_normal((30, 2))
-        val = SampleMmd(X, 0.8)(Y, w)
+        val = Mmd(X, 0.8)(Y, w)
         py, px = rng.permutation(7), rng.permutation(30)
-        assert SampleMmd(X[px], 0.8)(Y[py], w[py]) == pytest.approx(
+        assert Mmd(X[px], 0.8)(Y[py], w[py]) == pytest.approx(
             val, rel=1e-10, abs=1e-14
         )
 
@@ -194,8 +205,8 @@ class TestMmd2VsSamples:
         Y = rng.standard_normal((5, 2))
         w = np.full(5, 0.2)
         X = rng.standard_normal((200, 2))
-        a = SampleMmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
-        b = SampleMmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
+        a = Mmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
+        b = Mmd(X, 0.7).with_se(Y, w, n_boot=100, seed=3)
         assert a == b
         assert a[1] > 0.0
 
